@@ -363,18 +363,6 @@ impl DecodedCpu {
         }
     }
 
-    /// The decoded src/out register masks of the instruction at `pc`.
-    pub fn masks_at(&self, pc: usize) -> RegMasks {
-        self.code[pc].masks
-    }
-
-    /// Program-level `(gpr, simd)` union of every instruction's output
-    /// mask and every fault destination — the registers a run of this
-    /// program can ever modify.
-    pub fn touched_registers(&self) -> (u16, u16) {
-        (self.touched_gpr, self.touched_simd)
-    }
-
     /// The underlying interpreter-facing [`Cpu`].
     pub fn cpu(&self) -> &Cpu {
         &self.cpu
@@ -1340,7 +1328,7 @@ pub struct DecodedMachine<'a> {
 
 /// Exact architectural-state equality, cheapest fields first: a
 /// non-converged state almost always differs in a register or the pc,
-/// so the memory walk (watermark-bounded, see
+/// so the memory walk (bounded by the touched stack, see
 /// [`Memory::same_contents`](crate::mem::Memory::same_contents)) is the
 /// last resort.
 ///
@@ -1417,33 +1405,17 @@ impl<'a> DecodedMachine<'a> {
     /// Captures a [`Snapshot`] interchangeable with the interpreter
     /// machine's.
     pub fn snapshot(&self) -> Snapshot {
-        // `clone_compact` materializes the untouched stack prefix as
-        // fresh zero pages instead of copying it — contents identical
-        // to a plain clone, cost proportional to the stack in use.
-        let st = State {
-            regs: self.st.regs.clone(),
-            mem: self.st.mem.clone_compact(),
-            pc: self.st.pc,
-            call_stack: self.st.call_stack.clone(),
-            output: self.st.output.clone(),
-        };
-        Snapshot::from_parts(st, self.cycles, self.dyn_insts)
+        Snapshot::capture(&self.st, self.cycles, self.dyn_insts)
     }
 
-    /// Reinstates a snapshot (from either engine's machine), clearing
-    /// any stop condition.
+    /// Reinstates a snapshot (from either engine's machine) in place,
+    /// clearing any stop condition.
     ///
-    /// Restores in place, reusing this machine's buffers: the stack
-    /// copy is bounded by the low-water marks (`Memory::restore_from`),
-    /// so a campaign worker that holds one machine and restores it per
-    /// injection pays kilobytes, not the 512 KiB stack, per fault.
+    /// The copy is bounded by the snapshot's touched stack, so a
+    /// campaign worker that holds one machine and restores it per
+    /// injection copies only the stack the program has used, per fault.
     pub fn restore(&mut self, snap: &Snapshot) {
-        let s = snap.state();
-        self.st.regs.clone_from(&s.regs);
-        self.st.mem.restore_from(&s.mem);
-        self.st.pc = s.pc;
-        self.st.call_stack.clone_from(&s.call_stack);
-        self.st.output.clone_from(&s.output);
+        snap.restore_into(&mut self.st);
         self.cycles = snap.cycles();
         self.dyn_insts = snap.dyn_insts();
         self.stop = None;
@@ -1711,6 +1683,38 @@ mod tests {
         Cpu::load(&asm).unwrap()
     }
 
+    /// `main` prints `depth(24)`, where `depth(n) = n + depth(n - 1)`
+    /// recurses down to 0: the stack deepens and unwinds again, so
+    /// snapshots along the run hold stacks of very different depths.
+    fn recursive_cpu() -> Cpu {
+        let mut module = Module::new();
+        let mut f = FunctionBuilder::new("depth", &[Ty::I64], Some(Ty::I64));
+        let base = f.create_block("base");
+        let rec = f.create_block("rec");
+        let zero = f.iconst(Ty::I64, 0);
+        let c = f.icmp(ICmpPred::Sle, Ty::I64, f.arg(0), zero);
+        f.br(c, base, rec);
+        f.switch_to(base);
+        f.ret(Some(zero));
+        f.switch_to(rec);
+        let one = f.iconst(Ty::I64, 1);
+        let m = f.sub(Ty::I64, f.arg(0), one);
+        let r = f.call("depth", vec![m], Some(Ty::I64)).unwrap();
+        let sum = f.add(Ty::I64, f.arg(0), r);
+        f.ret(Some(sum));
+        module.functions.push(f.finish());
+
+        let mut b = FunctionBuilder::new("main", &[], None);
+        let n = b.iconst(Ty::I64, 24);
+        let d = b.call("depth", vec![n], Some(Ty::I64)).unwrap();
+        b.print(d);
+        b.ret(None);
+        module.functions.push(b.finish());
+
+        let asm = ferrum_backend::compile(&module).unwrap();
+        Cpu::load(&asm).unwrap()
+    }
+
     /// The Fig. 6 dup/capture/batch-check idiom, hand-assembled so the
     /// fusion pass sees the exact MovqToXmm/Pinsrq/Vpxor+Vptest+Jcc
     /// shapes protected code emits.  `corrupt` plants a lane mismatch
@@ -1843,6 +1847,57 @@ mod tests {
             let mut back = Machine::new(&cpu);
             back.restore(&dm.snapshot());
             assert_eq!(back.run_to_completion(&[]), golden);
+        }
+
+        // Deep-stack snapshots restored in place into machines holding
+        // a shallow stack, and the reverse, on both engines: every
+        // resumed run equals a full run, faulted or not.
+        let cpu = recursive_cpu();
+        let dc = DecodedCpu::new(&cpu);
+        let golden = cpu.profile();
+        let mut m = Machine::new(&cpu);
+        let mut snaps = Vec::new();
+        while m.step() == StepEvent::Continue {
+            snaps.push(m.snapshot());
+        }
+        let checkpoints: Vec<Snapshot> = snaps.iter().step_by(7).cloned().collect();
+        // The touched depth never shrinks within a run: `deep` is the
+        // deepest call, `late` the unwound end holding the same depth.
+        let depth = |s: &Snapshot| s.state().mem.stack_len();
+        let late = snaps.last().unwrap();
+        let deep = snaps.iter().find(|s| depth(s) == depth(late)).unwrap();
+        let mid = snaps.iter().find(|s| depth(s) >= depth(late) / 2).unwrap();
+        let early = &snaps[2];
+        assert!(depth(early) * 4 < depth(mid) && depth(mid) * 3 / 2 < depth(late));
+        assert!(deep.dyn_insts() < late.dyn_insts());
+        for (from, into) in [(deep, early), (late, mid), (early, deep), (mid, late)] {
+            let runs = std::iter::once(None).chain(
+                golden
+                    .sites
+                    .iter()
+                    .filter(|s| s.dyn_index >= from.dyn_insts())
+                    .step_by(5)
+                    .flat_map(|s| [1u16, 40].map(|raw| Some(FaultSpec::new(s.dyn_index, raw)))),
+            );
+            for f in runs {
+                let faults: Vec<FaultSpec> = f.into_iter().collect();
+                let ctx = format!("{} into {}: {faults:?}", from.dyn_insts(), into.dyn_insts());
+                let full = cpu.run_multi(&faults);
+                let mut dm = DecodedMachine::new(&dc);
+                dm.advance_to(into.dyn_insts());
+                assert_eq!(dm.state().mem.stack_len(), depth(into));
+                dm.restore(from);
+                let resumed = dm.run_converging(&faults, &checkpoints, &golden.result);
+                assert_eq!(resumed, full, "decoded {ctx}");
+                let mut im = Machine::new(&cpu);
+                while im.dyn_insts() < into.dyn_insts() {
+                    im.step();
+                }
+                assert_eq!(im.state().mem.stack_len(), depth(into));
+                im.restore(from);
+                let resumed = im.run_to_completion(&faults);
+                assert_eq!(resumed, full, "interpreter {ctx}");
+            }
         }
     }
 
@@ -2020,11 +2075,11 @@ mod tests {
         // programs covering most DOp arms and check exactly that.
         for cpu in [loopy_cpu(), check_idiom_cpu(true), check_idiom_cpu(false)] {
             let dc = DecodedCpu::new(&cpu);
-            let (tg, ts) = dc.touched_registers();
+            let (tg, ts) = (dc.touched_gpr, dc.touched_simd);
             let mut m = DecodedMachine::new(&dc);
             loop {
                 let pc = m.state().pc;
-                let masks = dc.masks_at(pc);
+                let masks = dc.code[pc].masks;
                 let before = m.state().regs.clone();
                 let ev = m.step();
                 let after = &m.state().regs;
@@ -2054,7 +2109,7 @@ mod tests {
             // destination, so the masked compare never skips a register
             // a run could have modified.
             for pc in 0..cpu.image().insts.len() {
-                let mk = dc.masks_at(pc);
+                let mk = dc.code[pc].masks;
                 assert_eq!(mk.out_gpr & !tg, 0, "pc {pc} out-gpr outside union");
                 assert_eq!(mk.out_simd & !ts, 0, "pc {pc} out-simd outside union");
             }

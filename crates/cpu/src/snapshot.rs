@@ -34,15 +34,28 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Assembles a snapshot from raw parts — how the decoded engine's
-    /// machine produces [`Snapshot`]s interchangeable with the
-    /// interpreter's (both execute over the same [`State`] type).
-    pub(crate) fn from_parts(state: State, cycles: u64, dyn_insts: u64) -> Snapshot {
+    /// Captures `st` and its counters: the one capture path both
+    /// engines' machines share, so their snapshots interchange.  A plain
+    /// clone is compact, since [`Memory`](crate::mem::Memory) keeps only
+    /// the touched stack.
+    pub(crate) fn capture(st: &State, cycles: u64, dyn_insts: u64) -> Snapshot {
         Snapshot {
-            state,
+            state: st.clone(),
             cycles,
             dyn_insts,
         }
+    }
+
+    /// Copies the captured state into `st` in place, reusing its
+    /// buffers: the restore path both engines' machines share.  The
+    /// copy is bounded by this snapshot's globals and touched stack.
+    pub(crate) fn restore_into(&self, st: &mut State) {
+        let s = &self.state;
+        st.regs.clone_from(&s.regs);
+        st.mem.restore_from(&s.mem);
+        st.pc = s.pc;
+        st.call_stack.clone_from(&s.call_stack);
+        st.output.clone_from(&s.output);
     }
 
     /// The captured architectural state.
@@ -120,17 +133,13 @@ impl<'a> Machine<'a> {
     /// Captures the complete architectural state at the current
     /// instruction boundary.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            state: self.st.clone(),
-            cycles: self.cycles,
-            dyn_insts: self.dyn_insts,
-        }
+        Snapshot::capture(&self.st, self.cycles, self.dyn_insts)
     }
 
     /// Reinstates a snapshot (taken from any machine over the same
-    /// [`Cpu`]), clearing any stop condition.
+    /// [`Cpu`]) in place, clearing any stop condition.
     pub fn restore(&mut self, snap: &Snapshot) {
-        self.st = snap.state.clone();
+        snap.restore_into(&mut self.st);
         self.cycles = snap.cycles;
         self.dyn_insts = snap.dyn_insts;
         self.stop = None;
@@ -300,6 +309,48 @@ mod tests {
         m.restore(&start);
         assert_eq!(m.stop_reason(), None);
         assert_eq!(m.run_to_completion(&[]), r);
+    }
+
+    #[test]
+    fn snapshots_hold_only_the_touched_stack() {
+        // Every FERRUM-protected paper-scale catalog program, stepped
+        // through its golden run: a snapshot's stack is exactly as deep
+        // as the deepest stack byte stored to so far, predicted
+        // independently from each instruction's store targets.
+        use crate::differential::store_ranges;
+        use crate::mem::{STACK_SIZE, STACK_TOP};
+        for w in ferrum_workloads::all_workloads() {
+            let module = w.build(ferrum_workloads::Scale::Paper);
+            let asm = ferrum_backend::compile(&module).unwrap();
+            let protected = ferrum_eddi::Ferrum::new().protect(&asm).unwrap();
+            let cpu = Cpu::load(&protected).unwrap();
+            let golden = cpu.run(None);
+            let interval = (golden.dyn_insts / 64).max(1);
+            let mut m = Machine::new(&cpu);
+            let mut deepest = 0u64;
+            let mut checked = 0;
+            loop {
+                for (addr, len) in store_ranges(cpu.image(), m.state()) {
+                    if addr >= STACK_TOP - STACK_SIZE && addr + len <= STACK_TOP {
+                        deepest = deepest.max(STACK_TOP - addr);
+                    }
+                }
+                if m.step() != StepEvent::Continue {
+                    break;
+                }
+                if m.dyn_insts().is_multiple_of(interval) {
+                    let snap = m.snapshot();
+                    let held = snap.state().mem.stack_len() as u64;
+                    assert_eq!(held, deepest, "{} at {}", w.name, m.dyn_insts());
+                    checked += 1;
+                }
+            }
+            assert!(
+                deepest > 0 && checked >= 32,
+                "{}: {checked} snapshots",
+                w.name
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Differential semantics tests: the simulator's ALU results must match
 //! native Rust arithmetic at every width.
 //!
-//! The randomized sweeps run hermetically off `ferrum-rng`; the
-//! original `proptest` strategies (with shrinking) are preserved behind
-//! the off-by-default `proptest` feature per the hermetic-build policy.
+//! The randomized sweeps run hermetically off `ferrum-rng`.
 
 use ferrum_asm::inst::{AluOp, Inst, ShiftAmount, ShiftOp};
 use ferrum_asm::operand::Operand;
@@ -150,31 +148,5 @@ fn shifts_match_native_sweep() {
         let amt = rng.gen_range(0..64u64) as u8;
         let w = [Width::W32, Width::W64][rng.gen_range(0..2usize)];
         check_shift_case(v, amt, w);
-    }
-}
-
-#[cfg(feature = "proptest")]
-mod prop {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(200))]
-        #[test]
-        fn alu_matches_native_semantics(
-            a in any::<u64>(),
-            b in any::<u64>(),
-            op_pick in 0usize..5,
-            w_pick in 0usize..4,
-        ) {
-            let op = [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Or, AluOp::Xor][op_pick];
-            let w = Width::ALL[w_pick];
-            check_alu_case(a, b, op, w);
-        }
-
-        #[test]
-        fn shifts_match_native(v in any::<u64>(), amt in 0u8..64, w_pick in 0usize..2) {
-            check_shift_case(v, amt, [Width::W32, Width::W64][w_pick]);
-        }
     }
 }

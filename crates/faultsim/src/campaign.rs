@@ -665,8 +665,9 @@ pub fn run_campaign_parallel_on(
 /// Snapshot-placement policy for [`run_campaign_snapshot`].
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotPolicy {
-    /// Upper bound on captured snapshots (each clones the full
-    /// architectural state, memory included, so this bounds memory).
+    /// Upper bound on captured snapshots.  Each holds the registers,
+    /// globals, touched stack, call stack and output at its point, so
+    /// this bounds the memory the snapshots take.
     pub max_snapshots: usize,
     /// Snapshots are at least this many dynamic instructions apart.
     pub min_interval: u64,
@@ -795,11 +796,11 @@ pub fn run_campaign_snapshot_on(
         let mut local: Vec<(usize, Outcome, Option<u64>)> = Vec::new();
         let (mut steps, mut saved) = (0u64, 0u64);
         let mut hits = 0usize;
-        // One machine per worker, restored in place per fault — the
-        // decoded engine's restore is bounded by the stack low-water
-        // mark, so reuse turns per-injection state setup from a
-        // 512 KiB clone into a few touched kilobytes.  `entry` is the
-        // program start, for faults before the first snapshot.
+        // One machine per worker, restored in place per fault: restore
+        // copies into the machine's existing buffers, bounded by the
+        // snapshot's touched stack, so per-injection state setup
+        // allocates nothing once the buffers have grown.  `entry` is
+        // the program start, for faults before the first snapshot.
         let mut machine = engine.machine();
         let entry = machine.snapshot();
         loop {

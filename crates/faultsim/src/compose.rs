@@ -58,7 +58,7 @@ use crate::campaign::{
     Outcome, WorkerStats,
 };
 use crate::engine::Engine;
-use crate::flight::{self, Booking};
+use crate::flight::{self, Booking, Stage, StageClock};
 
 /// The program's entry function: its final register state is
 /// architecturally unobservable (the harness compares only the output
@@ -502,7 +502,9 @@ fn run_incremental_on(
                 .map(|(k, raw_bit)| {
                     let fault =
                         FaultSpec::new(profile.sites[site_indices[k]].dyn_index, raw_bit);
+                    let clock = StageClock::start();
                     let run = engine.run(Some(fault));
+                    clock.stop(0, Stage::Injection);
                     result.stats.steps_executed += run.dyn_insts;
                     let o = classify(run.stop, &run.output, golden);
                     if o == Outcome::Detected {

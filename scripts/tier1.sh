@@ -53,4 +53,7 @@ cargo run --release --offline -q -p ferrum-cli --bin ferrum-fuzz -- --programs 2
 echo "== tier1: bench_check.sh --quick (bench.json regression gate vs committed baseline)"
 sh scripts/bench_check.sh --quick
 
+echo "== tier1: e2ebench self-tests (benchmark determinism, checks and CLI rejection)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== tier1: OK"

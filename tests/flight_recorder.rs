@@ -24,13 +24,14 @@ use ferrum::{
     install_flight_recorder, program_signature, resume_campaign_from_journal,
     uninstall_flight_recorder, CampaignConfig, CampaignEvent, CampaignResult, EngineKind,
     FlightEvent, FlightPolicy, FlightRecorder, JournalSnapshot, MemorySink, Pipeline,
-    SnapshotPolicy, Technique,
+    SnapshotPolicy, Stage, Technique,
 };
 use ferrum_asm::program::AsmProgram;
 use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_faultsim::campaign::{
     run_campaign_on, run_campaign_parallel_on, run_campaign_snapshot_on,
 };
+use ferrum_faultsim::compose::{run_campaign_incremental_on, run_campaign_stratified_on};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -210,6 +211,64 @@ fn ndjson_file_round_trip_preserves_the_stream() {
     assert_eq!(resumed, result);
     assert_eq!(resumed.stats.reused_sites, result.total());
     let _ = std::fs::remove_file(&path);
+}
+
+/// `(worker, stage, count)` of every stage-timing event past engine
+/// binding (the decoded engine's decode is timed before the start).
+fn stage_counts(events: &[FlightEvent]) -> Vec<(usize, Stage, u64)> {
+    events
+        .iter()
+        .filter_map(|e| match e.event {
+            CampaignEvent::StageTiming {
+                worker,
+                stage,
+                count,
+                ..
+            } if stage != Stage::Decode => Some((worker, stage, count)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn compose_executors_time_every_executed_injection() {
+    let _g = lock();
+    let (prog, cpu, profile) = load("kmeans", Technique::Ferrum);
+    for engine in EngineKind::ALL {
+        let label = engine.label();
+        let (full, events) = record(&prog, &cpu, FlightPolicy::default(), || {
+            engine.with_cpu(&cpu, |e| {
+                run_campaign_stratified_on(e, &profile, CFG, &prog).0
+            })
+        });
+        let executed = full.total() as u64;
+        assert!(executed > 0, "{label}: nothing injected");
+        assert_eq!(
+            stage_counts(&events),
+            vec![(0, Stage::Injection, executed)],
+            "{label}: stratified"
+        );
+
+        // Drop one function's shard: the incremental run re-injects
+        // exactly that shard's draws and times only those.
+        let (_, mut cache) = engine.with_cpu(&cpu, |e| {
+            run_campaign_stratified_on(e, &profile, CFG, &prog)
+        });
+        let dropped = cache.shards.pop().expect("a shard").draws.len() as u64;
+        assert!(dropped > 0, "{label}: empty shard");
+        let (inc, events) = record(&prog, &cpu, FlightPolicy::default(), || {
+            engine.with_cpu(&cpu, |e| {
+                run_campaign_incremental_on(e, &profile, CFG, &prog, &cache).0
+            })
+        });
+        assert_eq!(inc.records, full.records, "{label}: incremental records");
+        assert_eq!(inc.stats.reused_sites as u64, executed - dropped);
+        assert_eq!(
+            stage_counts(&events),
+            vec![(0, Stage::Injection, dropped)],
+            "{label}: incremental"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
