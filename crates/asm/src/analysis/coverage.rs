@@ -11,7 +11,7 @@
 //! guaranteed to be detected.  This module classifies every injectable
 //! site of an [`AsmProgram`] into a [`StaticVerdict`] and rolls the
 //! verdicts up into a [`CoverageMap`] that the campaign engine
-//! (`ferrum_faultsim::run_campaign_pruned`) uses to skip
+//! (`ferrum_faultsim::run_campaign_pruned_on`) uses to skip
 //! statically-decided injections.
 //!
 //! # Site model

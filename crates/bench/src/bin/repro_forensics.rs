@@ -8,7 +8,10 @@
 //! corrupted consistently, the corruption was masked before any check,
 //! a checker ran blind, or no checker executed at all.
 
-use ferrum::{run_campaign_forensic, CampaignConfig, EscapeReason, ForensicConfig, Pipeline, Technique};
+use ferrum::{
+    run_campaign_forensic_on, CampaignConfig, Engine, EscapeReason, ForensicConfig, Pipeline,
+    Technique,
+};
 use ferrum_workloads::all_workloads;
 
 fn main() {
@@ -37,8 +40,8 @@ fn main() {
             };
             let _ = prog;
             let profile = cpu.profile();
-            let (campaign, report) = run_campaign_forensic(
-                &cpu,
+            let (campaign, report) = run_campaign_forensic_on(
+                Engine::Interpreter(&cpu),
                 &profile,
                 CampaignConfig {
                     samples: cfg.samples,

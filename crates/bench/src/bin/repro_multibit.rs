@@ -6,8 +6,9 @@
 //! harness measures by how much.
 
 use ferrum::{Pipeline, Technique};
-use ferrum_faultsim::campaign::{run_campaign, run_double_campaign, CampaignConfig};
+use ferrum_faultsim::campaign::{run_campaign, run_double_campaign_on, CampaignConfig};
 use ferrum_faultsim::stats::sdc_coverage;
+use ferrum_faultsim::Engine;
 use ferrum_workloads::all_workloads;
 
 fn main() {
@@ -35,13 +36,13 @@ fn main() {
             samples: cfg.samples,
             seed: cfg.seed,
         };
-        let raw2 = run_double_campaign(&raw_cpu, &raw_profile, c);
+        let raw2 = run_double_campaign_on(Engine::Interpreter(&raw_cpu), &raw_profile, c);
         let prog = pipeline
             .protect(&module, Technique::Ferrum)
             .expect("protects");
         let cpu = pipeline.load(&prog).expect("loads");
         let profile = cpu.profile();
-        let prot2 = run_double_campaign(&cpu, &profile, c);
+        let prot2 = run_double_campaign_on(Engine::Interpreter(&cpu), &profile, c);
         let raw1 = run_campaign(&raw_cpu, &raw_profile, c);
         let prot1 = run_campaign(&cpu, &profile, c);
         let cov2 = sdc_coverage(raw2.sdc_prob(), prot2.sdc_prob());

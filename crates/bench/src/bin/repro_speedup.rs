@@ -9,7 +9,7 @@
 //! instruction distance), which must be identical across engines.
 //!
 //! A third table runs the coverage-pruned executor
-//! (`run_campaign_pruned`) on the FERRUM build: faults landing on
+//! (`run_campaign_pruned_on`) on the FERRUM build: faults landing on
 //! statically-decided sites (`ferrum::CoverageMap`) are booked without
 //! simulation, and the outcome records must still be identical to the
 //! serial engine.
@@ -22,7 +22,7 @@
 //! `ferrum_cpu::decoded` (≥10× single-thread).
 //!
 //! A fifth table measures the incremental campaign mode
-//! (`ferrum::run_campaign_incremental`) after a single-function edit:
+//! (`ferrum::run_campaign_incremental_on`) after a single-function edit:
 //! a multi-function FERRUM-protected program is campaigned once to
 //! fill the per-function shard cache, one function is edited (a
 //! synthetic `nop` changes its content hash), and the stale cache
@@ -55,16 +55,15 @@ use std::time::Instant;
 use ferrum::flight::NdjsonSink;
 use ferrum::json::{Json, ToJson};
 use ferrum::{
-    install_flight_recorder, program_signature, run_campaign_incremental, run_campaign_stratified,
-    uninstall_flight_recorder, CampaignConfig, CoverageMap, DecodedCpu, Engine, FlightRecorder,
-    Pipeline, SnapshotPolicy, Technique,
+    install_flight_recorder, program_signature, run_campaign_incremental_on,
+    run_campaign_stratified_on, uninstall_flight_recorder, CampaignConfig, CoverageMap, DecodedCpu,
+    Engine, FlightRecorder, Pipeline, SnapshotPolicy, Technique,
 };
 use ferrum_asm::inst::Inst;
 use ferrum_asm::program::AsmInst;
 use ferrum_eddi::ferrum::Ferrum;
 use ferrum_faultsim::campaign::{
-    run_campaign, run_campaign_parallel, run_campaign_pruned, run_campaign_snapshot,
-    run_campaign_snapshot_on,
+    run_campaign, run_campaign_parallel_on, run_campaign_pruned_on, run_campaign_snapshot_on,
 };
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
@@ -148,15 +147,16 @@ fn main() {
             .expect("protects");
         let cpu = pipeline.load(&prog).expect("loads");
         let profile = cpu.profile();
+        let interp = Engine::Interpreter(&cpu);
         let campaign_cfg = CampaignConfig {
             samples: cfg.samples,
             seed: cfg.seed,
         };
 
         let serial = run_campaign(&cpu, &profile, campaign_cfg);
-        let stealing = run_campaign_parallel(&cpu, &profile, campaign_cfg, threads);
-        let snap = run_campaign_snapshot(
-            &cpu,
+        let stealing = run_campaign_parallel_on(interp, &profile, campaign_cfg, threads);
+        let snap = run_campaign_snapshot_on(
+            interp,
             &profile,
             campaign_cfg,
             threads,
@@ -212,8 +212,8 @@ fn main() {
             .expect("protects");
         let cpu = pipeline.load(&prog).expect("loads");
         let profile = cpu.profile();
-        let snap = run_campaign_snapshot(
-            &cpu,
+        let snap = run_campaign_snapshot_on(
+            Engine::Interpreter(&cpu),
             &profile,
             CampaignConfig {
                 samples: cfg.samples,
@@ -264,7 +264,8 @@ fn main() {
             seed: cfg.seed,
         };
         let serial = run_campaign(&cpu, &profile, campaign_cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, campaign_cfg, &map);
+        let pruned =
+            run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, campaign_cfg, &map);
         let identical = serial == pruned;
         let steps_saved = 1.0
             - pruned.stats.steps_executed as f64 / serial.stats.steps_executed.max(1) as f64;
@@ -462,7 +463,12 @@ fn main() {
         samples: cfg.samples,
         seed: cfg.seed,
     };
-    let (_, cache) = run_campaign_stratified(&base_cpu, &base_profile, campaign_cfg, &base);
+    let (_, cache) = run_campaign_stratified_on(
+        Engine::Interpreter(&base_cpu),
+        &base_profile,
+        campaign_cfg,
+        &base,
+    );
     let names: Vec<String> = base.functions.iter().map(|f| f.name.clone()).collect();
     let mut incremental_rows = Vec::new();
     for name in &names {
@@ -478,10 +484,17 @@ fn main() {
         let cpu = ferrum_cpu::run::Cpu::load(&edited).expect("loads");
         let profile = cpu.profile();
         let t0 = Instant::now();
-        let (full, _) = run_campaign_stratified(&cpu, &profile, campaign_cfg, &edited);
+        let (full, _) =
+            run_campaign_stratified_on(Engine::Interpreter(&cpu), &profile, campaign_cfg, &edited);
         let t_full = t0.elapsed();
         let t1 = Instant::now();
-        let (inc, _) = run_campaign_incremental(&cpu, &profile, campaign_cfg, &edited, &cache);
+        let (inc, _) = run_campaign_incremental_on(
+            Engine::Interpreter(&cpu),
+            &profile,
+            campaign_cfg,
+            &edited,
+            &cache,
+        );
         let t_inc = t1.elapsed();
         let identical = full == inc;
         println!(

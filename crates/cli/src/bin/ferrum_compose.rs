@@ -37,7 +37,8 @@ use ferrum_cli::args::{parse_args, usage_exit, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_cli::catalog::{catalog_exit, catalog_selfcheck, CheckLine};
 use ferrum_cpu::run::Profile;
 use ferrum_faultsim::campaign::{run_campaign, CampaignResult, Outcome};
-use ferrum_faultsim::{run_campaign_incremental, run_campaign_stratified};
+use ferrum_faultsim::Engine;
+use ferrum_faultsim::{run_campaign_incremental_on, run_campaign_stratified_on};
 use ferrum_workloads::catalog::{workload, Scale, Workload};
 
 const USAGE: UsageSpec = UsageSpec {
@@ -145,8 +146,9 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
         let composed = compose(&prog, &coverage, &summary);
         let cpu = pipeline.load(&prog)?;
         let profile = cpu.profile();
-        let (stratified, cache) = run_campaign_stratified(&cpu, &profile, cfg, &prog);
-        let (incremental, _) = run_campaign_incremental(&cpu, &profile, cfg, &prog, &cache);
+        let interp = Engine::Interpreter(&cpu);
+        let (stratified, cache) = run_campaign_stratified_on(interp, &profile, cfg, &prog);
+        let (incremental, _) = run_campaign_incremental_on(interp, &profile, cfg, &prog, &cache);
         Ok::<_, ferrum::Error>((composed, stratified, incremental))
     })() {
         Ok(r) => r,
@@ -215,6 +217,7 @@ fn catalog_check(
     let composed = compose(&prog, &coverage, &summary);
     let cpu = pipeline.load(&prog)?;
     let profile = cpu.profile();
+    let interp = Engine::Interpreter(&cpu);
     let cfg = CampaignConfig {
         samples: opts.samples,
         seed: opts.seed,
@@ -223,8 +226,8 @@ fn catalog_check(
     let serial = run_campaign(&cpu, &profile, cfg);
     let contradicted = contradictions(&composed, &profile, &serial);
 
-    let (stratified, cache) = run_campaign_stratified(&cpu, &profile, cfg, &prog);
-    let (incremental, _) = run_campaign_incremental(&cpu, &profile, cfg, &prog, &cache);
+    let (stratified, cache) = run_campaign_stratified_on(interp, &profile, cfg, &prog);
+    let (incremental, _) = run_campaign_incremental_on(interp, &profile, cfg, &prog, &cache);
     let identical = incremental == stratified;
     let full_reuse = incremental.stats.reused_sites == incremental.total();
 

@@ -32,7 +32,8 @@ use ferrum::report::{
 use ferrum::{CampaignConfig, CoverageMap, Pipeline, StaticVerdict, Technique};
 use ferrum_cli::args::{parse_args, usage_exit, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_cli::catalog::{catalog_exit, catalog_selfcheck, CheckLine};
-use ferrum_faultsim::campaign::{run_campaign, run_campaign_pruned, Outcome};
+use ferrum_faultsim::campaign::{run_campaign, run_campaign_pruned_on, Outcome};
+use ferrum_faultsim::Engine;
 use ferrum_workloads::catalog::{workload, Scale, Workload};
 
 const USAGE: UsageSpec = UsageSpec {
@@ -122,7 +123,7 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
             samples: opts.samples,
             seed: opts.seed,
         };
-        let campaign = run_campaign_pruned(&cpu, &profile, cfg, &map);
+        let campaign = run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, cfg, &map);
         Ok::<_, ferrum::Error>((map, campaign))
     })() {
         Ok(r) => r,
@@ -184,7 +185,7 @@ fn catalog_check(
         seed: opts.seed,
     };
     let serial = run_campaign(&cpu, &profile, cfg);
-    let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+    let pruned = run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, cfg, &map);
 
     let identical = serial == pruned;
     let prune_ok = pruned.stats.prune_rate() >= 0.20;

@@ -24,7 +24,7 @@
 //! ```
 //!
 //! The tool protects the workload, runs a fault campaign with
-//! differential replay attached ([`ferrum::run_campaign_forensic`]),
+//! differential replay attached ([`ferrum::run_campaign_forensic_on`]),
 //! and explains each selected outcome: first architectural divergence,
 //! taint fan-out, the checkers that ran afterwards with classified
 //! escape reasons, and the bisected kill window.  SDC records are then
@@ -38,8 +38,8 @@ use ferrum::report::{
     render_forensic_record, render_forensics_report, render_unknown_site_explanations,
 };
 use ferrum::{
-    explain_unknown_sites, run_campaign_forensic, CampaignConfig, CoverageMap, ForensicConfig,
-    Outcome, Pipeline, Technique,
+    explain_unknown_sites, run_campaign_forensic_on, CampaignConfig, CoverageMap, Engine,
+    ForensicConfig, Outcome, Pipeline, Technique,
 };
 use ferrum_cli::args::{parse_args, usage_exit, ArgError, ArgHelp, ArgSpec, ParsedArgs, UsageSpec};
 use ferrum_cli::catalog::{catalog_exit, catalog_selfcheck, CheckLine};
@@ -203,7 +203,8 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
         let map = CoverageMap::analyze(&prog);
         let cpu = pipeline.load(&prog)?;
         let profile = cpu.profile();
-        let (campaign, report) = run_campaign_forensic(&cpu, &profile, cfg, &opts.fcfg);
+        let (campaign, report) =
+            run_campaign_forensic_on(Engine::Interpreter(&cpu), &profile, cfg, &opts.fcfg);
         let explanations = explain_unknown_sites(&profile, &map, &report);
         Ok::<_, ferrum::Error>((campaign, report, explanations))
     })() {
@@ -271,7 +272,8 @@ fn check_one(
         seed: opts.seed,
     };
     let serial = run_campaign(&cpu, &profile, cfg);
-    let (forensic, report) = run_campaign_forensic(&cpu, &profile, cfg, &opts.fcfg);
+    let (forensic, report) =
+        run_campaign_forensic_on(Engine::Interpreter(&cpu), &profile, cfg, &opts.fcfg);
 
     let identical = forensic == serial;
     let located = report.records.iter().all(|r| {

@@ -4,8 +4,9 @@
 use ferrum_backend::{OptLevel, PassStats};
 use ferrum_eddi::Technique;
 use ferrum_faultsim::campaign::{
-    run_campaign_snapshot, CampaignConfig, CampaignResult, SnapshotPolicy,
+    run_campaign_snapshot_on, CampaignConfig, CampaignResult, SnapshotPolicy,
 };
+use ferrum_faultsim::engine::Engine;
 use ferrum_faultsim::rootcause::{attribute_sdcs, RootCauseReport};
 use ferrum_faultsim::stats::{runtime_overhead, sdc_coverage};
 use ferrum_workloads::{Scale, Workload};
@@ -117,8 +118,8 @@ pub fn evaluate_workload(
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Snapshot-accelerated engine: byte-identical outcomes to the
     // serial executor, with prefix sharing and work stealing.
-    let raw_campaign = run_campaign_snapshot(
-        &raw_cpu,
+    let raw_campaign = run_campaign_snapshot_on(
+        Engine::Interpreter(&raw_cpu),
         &raw_profile,
         CampaignConfig {
             samples: cfg.samples,
@@ -140,8 +141,8 @@ pub fn evaluate_workload(
             "{}/{t}: protected program diverges from oracle",
             w.name
         );
-        let campaign = run_campaign_snapshot(
-            &cpu,
+        let campaign = run_campaign_snapshot_on(
+            Engine::Interpreter(&cpu),
             &profile,
             CampaignConfig {
                 samples: cfg.samples,

@@ -69,8 +69,8 @@ pub use ferrum_faultsim::campaign::{
     WorkerStats,
 };
 pub use ferrum_faultsim::compose::{
-    compose, run_campaign_incremental, run_campaign_stratified, CampaignCache, ComposedFunction,
-    ComposedMap, ComposedSite, FunctionShard, ShardDraw,
+    compose, run_campaign_incremental_on, run_campaign_stratified_on, CampaignCache,
+    ComposedFunction, ComposedMap, ComposedSite, FunctionShard, ShardDraw,
 };
 pub use ferrum_faultsim::engine::{Engine, EngineKind, EngineMachine};
 pub use ferrum_faultsim::flight::{
@@ -80,7 +80,7 @@ pub use ferrum_faultsim::flight::{
     ProgressSnapshot, ShardRecord, Stage, TeeSink,
 };
 pub use ferrum_faultsim::forensics::{
-    explain_unknown_sites, forensic_replay, run_campaign_forensic, CheckerEscape, Divergence,
+    explain_unknown_sites, forensic_replay_on, run_campaign_forensic_on, CheckerEscape, Divergence,
     EscapeReason, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow, TaintTimeline,
     UnknownSiteExplanation,
 };

@@ -1631,7 +1631,8 @@ mod tests {
     #[test]
     fn forensics_report_renders_and_round_trips_json() {
         use ferrum_faultsim::campaign::CampaignConfig;
-        use ferrum_faultsim::forensics::{run_campaign_forensic, ForensicConfig};
+        use ferrum_faultsim::forensics::{run_campaign_forensic_on, ForensicConfig};
+        use ferrum_faultsim::Engine;
         let pipeline = Pipeline::new();
         let module = workload("knn").expect("exists").build(Scale::Test);
         let prog = pipeline.protect(&module, Technique::None).expect("builds");
@@ -1641,8 +1642,12 @@ mod tests {
             samples: 250,
             seed: 0x51,
         };
-        let (campaign, rep) =
-            run_campaign_forensic(&cpu, &profile, cfg, &ForensicConfig::default());
+        let (campaign, rep) = run_campaign_forensic_on(
+            Engine::Interpreter(&cpu),
+            &profile,
+            cfg,
+            &ForensicConfig::default(),
+        );
         assert!(campaign.sdc > 0, "unprotected knn must produce SDCs");
         assert!(rep.analyzed() > 0);
 

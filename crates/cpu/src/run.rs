@@ -191,7 +191,7 @@ impl Cpu {
         crate::snapshot::Machine::new(self).run_to_completion(faults)
     }
 
-    /// Resumes execution from a [`Snapshot`] of this program's state,
+    /// Resumes execution from a [`Snapshot`](crate::snapshot::Snapshot) of this program's state,
     /// injecting `faults` (only those at-or-after the snapshot's
     /// instruction boundary can still fire).  Byte-identical to a full
     /// [`Cpu::run_multi`] with the same faults when the snapshot was

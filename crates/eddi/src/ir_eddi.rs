@@ -145,7 +145,7 @@ impl Rewriter {
 pub struct ShadowIds {
     /// Every id created by the pass (shadows and checks).
     pub all: HashSet<u32>,
-    /// The subset created by [`Rewriter::split_check`] — lowered
+    /// The subset created by `Rewriter::split_check` — lowered
     /// comparisons guarding the detect branch.
     pub checks: HashSet<u32>,
 }

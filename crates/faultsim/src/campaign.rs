@@ -1,34 +1,40 @@
 //! Sampled and exhaustive fault-injection campaigns.
 //!
-//! Three executors share one sampling scheme and produce identical
-//! outcome counts and records for identical seeds:
+//! Every executor in this crate builds a **fault plan** and hands it to
+//! one **executor core**, which runs it on a **runner**:
 //!
-//! * [`run_campaign`] — the reference serial executor;
-//! * [`run_campaign_parallel`] — fans injections out over worker
-//!   threads that steal faults from a shared atomic counter (no fixed
-//!   chunking, so stragglers cannot idle whole threads);
-//! * [`run_campaign_snapshot`] — the snapshot-accelerated engine: the
-//!   fault list is pre-sampled and sorted by injection index, the
-//!   golden prefix is executed once with periodic
-//!   [`ferrum_cpu::snapshot::Snapshot`]s, and every faulted run starts
-//!   from the nearest snapshot at-or-before its injection point
-//!   instead of from instruction 0;
-//! * [`run_campaign_pruned`] — the serial executor armed with a static
-//!   [`CoverageMap`]: faults whose outcome the coverage analysis
-//!   proved (`Masked` → benign, `Detected` → detected) are booked
-//!   without executing at all.
+//! * **Plan** — the ordered injections.  Each entry is the fault(s) of
+//!   one faulted run (a pair for [`run_double_campaign_on`]), or a
+//!   fault booked with a known outcome instead of executing: a static
+//!   coverage verdict ([`run_campaign_pruned_on`]), a cached
+//!   per-function shard ([`mod@crate::compose`]) or a journaled shard
+//!   ([`crate::flight::resume_campaign_from_journal`]).  Plans are the
+//!   shared uniform sample, the per-function strata, the double-fault
+//!   pairs and the [`exhaustive_campaign_on`] sweep.
+//! * **Core** — classifies each outcome against the golden output and
+//!   owns what every executor shares: flight-recorder probes and stage
+//!   clocks, per-worker accounting, detection latency, final stats.
+//!   An optional observer sees each outcome in plan order (forensic
+//!   replay, per-function shard events).
+//! * **Runner** — whole runs on the calling thread or on work-stealing
+//!   worker threads ([`run_campaign_parallel_on`]), or, with a
+//!   [`SnapshotPolicy`] ([`run_campaign_snapshot_on`]), runs resumed
+//!   from the nearest snapshot of a golden prefix walked once.
 //!
-//! Every executor fills [`CampaignResult::stats`] with campaign
-//! telemetry: throughput (wall time, injections/sec), snapshot
-//! hit-rate and steps saved, per-worker load ([`WorkerStats`]), and the
-//! detection-latency distribution ([`DetectionLatency`] — the
-//! dynamic-instruction distance from each injection to the checker
-//! that caught it).  `stats` is deliberately excluded from
-//! `PartialEq`: two campaigns are *equal* when their sampled faults
-//! and classified outcomes agree, however long they took.  When the
-//! `trace` feature is on, executors additionally emit `ferrum-trace`
-//! spans and counters; tracing is observational only and can never
-//! change outcomes.
+//! Records come back in plan order whatever the runner, so executors
+//! sharing a plan return identical outcome counts and records per seed
+//! on either [`Engine`].  [`run_campaign`], the serial executor on the
+//! reference interpreter, is the oracle the others are checked against.
+//!
+//! The core fills [`CampaignResult::stats`] with campaign telemetry:
+//! throughput, snapshot hit-rate and steps saved, per-worker load
+//! ([`WorkerStats`]), and the detection-latency distribution
+//! ([`DetectionLatency`] — the dynamic-instruction distance from each
+//! injection to the checker that caught it).  `stats` is excluded from
+//! `PartialEq`: two campaigns are *equal* when their sampled faults and
+//! classified outcomes agree, however long they took.  With the `trace`
+//! feature the core also emits `ferrum-trace` spans and counters,
+//! which are observational only.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -37,7 +43,7 @@ use ferrum_rng::Rng64;
 
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict};
 use ferrum_cpu::fault::FaultSpec;
-use ferrum_cpu::outcome::StopReason;
+use ferrum_cpu::outcome::{RunResult, StopReason};
 use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_cpu::snapshot::Snapshot;
 
@@ -237,10 +243,12 @@ pub struct CampaignStats {
     /// Injection→detection instruction-distance distribution.
     pub latency: DetectionLatency,
     /// Faults booked from a static [`CoverageMap`] verdict instead of
-    /// being executed (see [`run_campaign_pruned`]).
+    /// being executed (see [`run_campaign_pruned_on`]).
     pub pruned_sites: usize,
-    /// Faults replayed from an incremental-campaign cache instead of
-    /// being executed (see [`crate::compose::run_campaign_incremental`]).
+    /// Faults replayed from an incremental-campaign cache or a resume
+    /// journal instead of being executed (see
+    /// [`crate::compose::run_campaign_incremental_on`] and
+    /// [`crate::flight::resume_campaign_from_journal`]).
     pub reused_sites: usize,
     /// Execution engine the campaign ran on.  Purely informational —
     /// outcome records are engine-independent per seed; only the
@@ -254,50 +262,38 @@ impl CampaignStats {
     pub fn worker_balance(&self) -> f64 {
         let max = self.per_worker.iter().map(|w| w.injections).max().unwrap_or(0);
         let min = self.per_worker.iter().map(|w| w.injections).min().unwrap_or(0);
-        if max == 0 {
-            0.0
-        } else {
-            min as f64 / max as f64
-        }
+        ratio(min as u64, max as u64)
     }
 
     /// Fraction of faulted runs that resumed from a snapshot.
     pub fn snapshot_hit_rate(&self) -> f64 {
-        if self.injections == 0 {
-            0.0
-        } else {
-            self.snapshot_hits as f64 / self.injections as f64
-        }
+        ratio(self.snapshot_hits as u64, self.injections as u64)
     }
 
     /// Fraction of total work (executed + saved) that snapshots avoided.
     pub fn steps_saved_ratio(&self) -> f64 {
-        let total = self.steps_saved + self.steps_executed;
-        if total == 0 {
-            0.0
-        } else {
-            self.steps_saved as f64 / total as f64
-        }
+        ratio(self.steps_saved, self.steps_saved + self.steps_executed)
     }
 
     /// Fraction of injections decided statically (skipped) by the
     /// pruned engine.
     pub fn prune_rate(&self) -> f64 {
-        if self.injections == 0 {
-            0.0
-        } else {
-            self.pruned_sites as f64 / self.injections as f64
-        }
+        ratio(self.pruned_sites as u64, self.injections as u64)
     }
 
     /// Fraction of injections replayed from an incremental-campaign
-    /// cache instead of executed.
+    /// cache or a resume journal instead of executed.
     pub fn reuse_rate(&self) -> f64 {
-        if self.injections == 0 {
-            0.0
-        } else {
-            self.reused_sites as f64 / self.injections as f64
-        }
+        ratio(self.reused_sites as u64, self.injections as u64)
+    }
+}
+
+/// `num / den`, or 0.0 when nothing was counted.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -342,11 +338,7 @@ impl CampaignResult {
 
     /// SDC probability over the campaign.
     pub fn sdc_prob(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.sdc as f64 / self.total() as f64
-        }
+        ratio(self.sdc as u64, self.total() as u64)
     }
 
     pub(crate) fn record(&mut self, f: FaultSpec, o: Outcome) {
@@ -389,9 +381,10 @@ pub(crate) fn detection_latency(dyn_insts: u64, inject: u64) -> u64 {
 
 /// Pre-samples the campaign's fault list: `cfg.samples` single-bit
 /// faults at sites drawn uniformly from `profile.sites`.  Every
-/// executor uses this one function, so the sampled list — and therefore
-/// the record stream — is identical across serial, work-stealing,
-/// snapshot-accelerated, and decoded runs of the same seed.
+/// executor that samples uniformly uses this one function, so the
+/// sampled list — and therefore the record stream — is identical
+/// across serial, work-stealing, snapshot-accelerated, and decoded
+/// runs of the same seed.
 ///
 /// The bit position is drawn uniformly from the site's own
 /// `eligible_dest_bits` width ([`ferrum_cpu::run::SiteInfo::bits`]),
@@ -402,7 +395,15 @@ pub(crate) fn detection_latency(dyn_insts: u64, inject: u64) -> u64 {
 /// `width` buckets over-weight the low residues.  Drawing below the
 /// width keeps every destination bit exactly equally likely
 /// (`Rng64::gen_below` is Lemire-unbiased).
+///
+/// # Panics
+///
+/// Panics if the profile has no injectable sites (with `samples > 0`).
 pub(crate) fn sample_faults(profile: &Profile, cfg: CampaignConfig) -> Vec<FaultSpec> {
+    assert!(
+        cfg.samples == 0 || !profile.sites.is_empty(),
+        "no injectable sites"
+    );
     let mut rng = Rng64::seed_from_u64(cfg.seed);
     (0..cfg.samples)
         .map(|_| {
@@ -412,12 +413,7 @@ pub(crate) fn sample_faults(profile: &Profile, cfg: CampaignConfig) -> Vec<Fault
         .collect()
 }
 
-pub(crate) fn finish_stats(
-    result: &mut CampaignResult,
-    t0: Instant,
-    threads: usize,
-    engine: EngineKind,
-) {
+fn finish_stats(result: &mut CampaignResult, t0: Instant, threads: usize, engine: EngineKind) {
     result.stats.engine = engine;
     let wall = t0.elapsed();
     result.stats.wall_nanos = wall.as_nanos();
@@ -431,321 +427,205 @@ pub(crate) fn finish_stats(
     };
 }
 
-/// Runs a sampled campaign serially — the reference executor.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign(cpu: &Cpu, profile: &Profile, cfg: CampaignConfig) -> CampaignResult {
-    run_campaign_on(Engine::Interpreter(cpu), profile, cfg)
-}
+// ---------------------------------------------------------------------------
+// Executor core: plan → core → runner
+// ---------------------------------------------------------------------------
 
-/// As [`run_campaign`], on an explicit [`Engine`].  Outcome-identical
-/// across engines per seed; only `stats` throughput differs.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_on(engine: Engine<'_>, profile: &Profile, cfg: CampaignConfig) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.serial");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    flight::campaign_started("serial", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return result;
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let mut latencies = Vec::new();
-    for (i, fault) in sample_faults(profile, cfg).into_iter().enumerate() {
-        let clock = StageClock::start();
-        let run = engine.run(Some(fault));
-        clock.stop(0, Stage::Injection);
-        result.stats.steps_executed += run.dyn_insts;
-        let o = classify(run.stop, &run.output, golden);
-        if o == Outcome::Detected {
-            latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-        }
-        flight::injection(0, i, fault, o, run.dyn_insts, Booking::Executed);
-        result.record(fault, o);
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    flight::campaign_finished(&result);
-    result
-}
-
-/// As [`run_campaign`], but consults a static [`CoverageMap`] first:
-/// a fault landing on a byte the analysis proved `Masked` or
-/// `Detected` is booked with its known outcome (`Benign` /
-/// `Detected`) without executing the faulted run.  Totals, outcome
-/// tallies, and `sdc_prob` are identical to the serial engine for the
-/// same seed — the map's sound verdicts *are* the outcomes the run
-/// would have produced — while the skipped fraction is reported in
-/// [`CampaignStats::pruned_sites`] / [`CampaignStats::prune_rate`].
-/// Detection-latency samples are only collected for executed faults
-/// (a skipped run has no dynamic trace), so `stats.latency` may hold
-/// fewer samples than the serial engine's; `stats` is excluded from
-/// result equality for exactly this kind of reason.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_pruned(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    coverage: &CoverageMap,
-) -> CampaignResult {
-    run_campaign_pruned_on(Engine::Interpreter(cpu), profile, cfg, coverage)
-}
-
-/// As [`run_campaign_pruned`], on an explicit [`Engine`] — the prune
-/// multiplier and the decoded engine's raw throughput stack.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_pruned_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    coverage: &CoverageMap,
-) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.pruned");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    flight::campaign_started("pruned", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return result;
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let mut latencies = Vec::new();
-    for (i, fault) in sample_faults(profile, cfg).into_iter().enumerate() {
-        // Sites are recorded in dynamic order, so dyn_index is sorted.
-        let verdict = profile
-            .sites
-            .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-            .ok()
-            .and_then(|i| coverage.verdict_at(profile.sites[i].pc, fault.raw_bit));
-        match verdict {
-            Some(StaticVerdict::Masked) => {
-                result.stats.pruned_sites += 1;
-                flight::injection(0, i, fault, Outcome::Benign, 0, Booking::Pruned);
-                result.record(fault, Outcome::Benign);
-            }
-            Some(StaticVerdict::Detected) => {
-                result.stats.pruned_sites += 1;
-                flight::injection(0, i, fault, Outcome::Detected, 0, Booking::Pruned);
-                result.record(fault, Outcome::Detected);
-            }
-            _ => {
-                let clock = StageClock::start();
-                let run = engine.run(Some(fault));
-                clock.stop(0, Stage::Injection);
-                result.stats.steps_executed += run.dyn_insts;
-                let o = classify(run.stop, &run.output, golden);
-                if o == Outcome::Detected {
-                    latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-                }
-                flight::injection(0, i, fault, o, run.dyn_insts, Booking::Executed);
-                result.record(fault, o);
-            }
-        }
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    ferrum_trace::counter("campaign.pruned", result.stats.pruned_sites as u64);
-    flight::campaign_finished(&result);
-    result
-}
-
-/// As [`run_campaign`], but fans the injections out over `threads`
-/// workers that steal the next fault index from a shared atomic
-/// counter.  Work stealing keeps every thread busy until the list is
-/// drained — a handful of slow faults (e.g. timeout-bound runs) no
-/// longer serialises the tail the way fixed chunking did.  Produces
-/// byte-identical results to the serial version: the fault list is
-/// pre-sampled with the seeded RNG and outcomes are stitched back in
-/// sampling order.
-pub fn run_campaign_parallel(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_parallel_on(Engine::Interpreter(cpu), profile, cfg, threads)
-}
-
-/// As [`run_campaign_parallel`], on an explicit [`Engine`].
-pub fn run_campaign_parallel_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    threads: usize,
-) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.parallel");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    flight::campaign_started("parallel", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, threads.max(1), engine.kind());
-        flight::campaign_finished(&result);
-        return result;
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let faults = sample_faults(profile, cfg);
-    let threads = threads.max(1).min(faults.len());
-    let next = AtomicUsize::new(0);
-    let worker = |t: usize| {
-        let mut local: Vec<(usize, Outcome, Option<u64>)> = Vec::new();
-        let mut steps = 0u64;
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&fault) = faults.get(i) else {
-                return (local, steps);
-            };
-            let clock = StageClock::start();
-            let run = engine.run(Some(fault));
-            clock.stop(t, Stage::Injection);
-            steps += run.dyn_insts;
-            let o = classify(run.stop, &run.output, golden);
-            let lat = (o == Outcome::Detected)
-                .then(|| detection_latency(run.dyn_insts, fault.dyn_index));
-            flight::injection(t, i, fault, o, run.dyn_insts, Booking::Executed);
-            local.push((i, o, lat));
-        }
-    };
-    let mut outcomes: Vec<Option<(Outcome, Option<u64>)>> = vec![None; faults.len()];
-    let mut per_worker = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || worker(t))).collect();
-        for h in handles {
-            let (local, steps) = h.join().expect("campaign worker panicked");
-            per_worker.push(WorkerStats {
-                injections: local.len(),
-                steps_executed: steps,
-            });
-            for (i, o, lat) in local {
-                outcomes[i] = Some((o, lat));
-            }
-        }
-    });
-    let mut latencies = Vec::new();
-    for (fault, slot) in faults.into_iter().zip(outcomes) {
-        let (outcome, lat) = slot.expect("every fault processed");
-        latencies.extend(lat);
-        result.record(fault, outcome);
-    }
-    result.stats.steps_executed = per_worker.iter().map(|w| w.steps_executed).sum();
-    result.stats.per_worker = per_worker;
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, threads, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    flight::campaign_finished(&result);
-    result
-}
-
-/// Snapshot-placement policy for [`run_campaign_snapshot`].
+/// One plan entry.
 #[derive(Debug, Clone, Copy)]
-pub struct SnapshotPolicy {
-    /// Upper bound on captured snapshots.  Each holds the registers,
-    /// globals, touched stack, call stack and output at its point, so
-    /// this bounds the memory the snapshots take.
-    pub max_snapshots: usize,
-    /// Snapshots are at least this many dynamic instructions apart.
-    pub min_interval: u64,
+pub(crate) enum Planned {
+    /// One faulted run; a double fault is recorded under its first.
+    Run(FaultSpec, Option<FaultSpec>),
+    /// A known outcome, booked without executing.
+    Booked(FaultSpec, Outcome, Booking),
 }
 
-impl Default for SnapshotPolicy {
-    fn default() -> SnapshotPolicy {
-        SnapshotPolicy {
-            max_snapshots: 64,
-            min_interval: 64,
+impl Planned {
+    /// The recorded fault.
+    pub(crate) fn fault(&self) -> FaultSpec {
+        match *self {
+            Planned::Run(f, _) | Planned::Booked(f, ..) => f,
+        }
+    }
+
+    /// The earliest injection point: the run resumes from a snapshot
+    /// at or before it, and detection latency is measured from it.
+    fn first(&self) -> u64 {
+        match *self {
+            Planned::Run(a, Some(b)) => a.dyn_index.min(b.dyn_index),
+            _ => self.fault().dyn_index,
         }
     }
 }
 
-/// The snapshot-accelerated campaign engine.
-///
-/// Executes the golden prefix **once**, capturing periodic snapshots up
-/// to the last injection index, then replays each pre-sampled fault
-/// from the nearest snapshot at-or-before its injection point.  Faults
-/// are processed in injection-index order by work-stealing workers.
-/// Outcome counts and records are byte-identical to [`run_campaign`]
-/// with the same seed; only [`CampaignResult::stats`] differs.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_snapshot(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    threads: usize,
-    policy: SnapshotPolicy,
-) -> CampaignResult {
-    run_campaign_snapshot_on(Engine::Interpreter(cpu), profile, cfg, threads, policy)
+/// An ordered fault plan with the flight-recorder executor label, the
+/// trace span and the config its started event fingerprints.
+pub(crate) struct Plan {
+    pub(crate) executor: &'static str,
+    pub(crate) span: &'static str,
+    pub(crate) cfg: CampaignConfig,
+    pub(crate) injections: Vec<Planned>,
 }
 
-/// As [`run_campaign_snapshot`], on an explicit [`Engine`] — snapshots
-/// taken by either engine's machine resume on the other, so the
-/// prefix-sharing and decoded speedups compose.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_snapshot_on(
+impl Plan {
+    /// The shared uniform sample ([`sample_faults`]), all executed.
+    pub(crate) fn sampled(
+        executor: &'static str,
+        span: &'static str,
+        profile: &Profile,
+        cfg: CampaignConfig,
+    ) -> Plan {
+        let injections = sample_faults(profile, cfg)
+            .into_iter()
+            .map(|f| Planned::Run(f, None))
+            .collect();
+        Plan {
+            executor,
+            span,
+            cfg,
+            injections,
+        }
+    }
+}
+
+/// How each faulted run executes.  `Whole` and `Snapshot` run on a
+/// number of work-stealing worker threads (clamped to the plan length).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Runner {
+    /// Whole runs from the entry state, in plan order on the caller.
+    Inline,
+    /// Whole runs from the entry state.
+    Whole(usize),
+    /// Runs resumed from the nearest snapshot at-or-before their first
+    /// injection point, on a golden prefix walked once.
+    Snapshot(usize, SnapshotPolicy),
+}
+
+/// Sees a plan resolve in order; only [`Runner::Inline`] takes one.
+pub(crate) trait Observer {
+    /// Entries before `i` are resolved and none from `i` on has
+    /// started; called at every boundary `0..=len`.
+    fn boundary(&mut self, _i: usize) {}
+
+    /// Entry `i` resolved to `outcome`, just before its flight probe.
+    fn outcome(&mut self, _i: usize, _fault: FaultSpec, _outcome: Outcome) {}
+}
+
+/// The executor core: runs `plan` on `runner` and returns the result
+/// with records in plan order.
+pub(crate) fn execute(
     engine: Engine<'_>,
     profile: &Profile,
-    cfg: CampaignConfig,
-    threads: usize,
-    policy: SnapshotPolicy,
+    plan: &Plan,
+    runner: Runner,
+    mut observer: Option<&mut dyn Observer>,
 ) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.snapshot");
+    let _span = ferrum_trace::span(plan.span);
     let t0 = Instant::now();
     let mut result = CampaignResult::default();
-    flight::campaign_started("snapshot", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, threads.max(1), engine.kind());
-        flight::campaign_finished(&result);
-        return result;
+    let n = plan.injections.len();
+    flight::campaign_started(plan.executor, engine.kind(), plan.cfg, profile, n);
+    let (threads, policy) = match runner {
+        Runner::Inline => (1, None),
+        Runner::Whole(t) => (t.max(1), None),
+        Runner::Snapshot(t, policy) => (t.max(1), Some(policy)),
+    };
+    let threads = if n == 0 { threads } else { threads.min(n) };
+    if n > 0 {
+        let plan = &plan.injections[..];
+        let mut order: Vec<usize> = (0..n).collect();
+        let snapshots = policy.map(|policy| {
+            // Injection-point order: consecutive work items share
+            // snapshots, and the prefix walk runs once.
+            order.sort_by_key(|&i| plan[i].first());
+            golden_walk(engine, profile, policy, plan[order[n - 1]].first())
+        });
+        let ctx = &Ctx {
+            engine,
+            golden: &profile.result,
+            plan,
+            order: &order,
+            snapshots: snapshots.as_deref(),
+            next: AtomicUsize::new(0),
+        };
+        let workers: Vec<Worker> = if let Runner::Inline = runner {
+            vec![ctx.work(0, observer.as_deref_mut())]
+        } else {
+            // Spawned even when single: a lone worker on the caller ran
+            // fast or slow by which CPU it stayed on (ROADMAP item 2).
+            assert!(observer.is_none(), "observers need the inline runner");
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| scope.spawn(move || ctx.work(t, None)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("campaign worker panicked"))
+                    .collect()
+            })
+        };
+        if let Some(obs) = observer {
+            obs.boundary(n);
+        }
+
+        let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
+        let mut latencies = Vec::new();
+        let stats = &mut result.stats;
+        for w in workers {
+            stats.per_worker.push(WorkerStats {
+                injections: w.outcomes.len(),
+                steps_executed: w.steps,
+            });
+            stats.steps_executed += w.steps;
+            stats.snapshot_hits += w.hits;
+            stats.steps_saved += w.saved;
+            latencies.extend(w.latencies);
+            for (i, o) in w.outcomes {
+                outcomes[i] = Some(o);
+            }
+        }
+        stats.snapshots_taken = snapshots.map_or(0, |s| s.len());
+        stats.latency = DetectionLatency::from_samples(latencies);
+        for (p, o) in plan.iter().zip(outcomes) {
+            match p {
+                Planned::Booked(.., Booking::Pruned) => result.stats.pruned_sites += 1,
+                Planned::Booked(.., Booking::Reused) => result.stats.reused_sites += 1,
+                _ => {}
+            }
+            result.record(p.fault(), o.expect("every fault processed"));
+        }
     }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let faults = sample_faults(profile, cfg);
+    finish_stats(&mut result, t0, threads, engine.kind());
+    if n > 0 {
+        let s = &result.stats;
+        ferrum_trace::counter("campaign.injections", result.total() as u64);
+        for (name, value) in [
+            ("campaign.pruned", s.pruned_sites as u64),
+            ("campaign.reused", s.reused_sites as u64),
+            ("campaign.snapshot.hits", s.snapshot_hits as u64),
+            ("campaign.snapshot.steps_saved", s.steps_saved),
+        ] {
+            if value > 0 {
+                ferrum_trace::counter(name, value);
+            }
+        }
+    }
+    flight::campaign_finished(&result);
+    result
+}
 
-    // Sort fault indices by injection point: consecutive work items
-    // then share snapshots (and the prefix walk below only runs once,
-    // up to the last injection).
-    let mut order: Vec<usize> = (0..faults.len()).collect();
-    order.sort_by_key(|&i| faults[i].dyn_index);
-    let last_injection = faults[*order.last().expect("samples > 0")].dyn_index;
-
-    // Golden-prefix pass: walk fault-free, snapshotting at the
-    // policy's cadence.  The machine state at boundary k is usable by
-    // any fault with dyn_index >= k.  The interpreter walks only to
-    // the last injection point (snapshots are pure prefix-skips); the
-    // decoded engine walks the whole golden run, because its snapshots
-    // double as the convergence checkpoints `resume_converging`
-    // compares against — a checkpoint after a fault is what lets the
-    // post-fault suffix be stitched instead of re-executed.
+/// Walks the golden run fault-free, snapshotting at the policy's
+/// cadence; the state at boundary k serves any fault at dyn_index >= k.
+/// The interpreter walks only to the last injection point; the decoded
+/// engine walks the whole run, because its snapshots double as the
+/// convergence checkpoints `run_converging` stitches the post-fault
+/// suffix from.
+fn golden_walk(
+    engine: Engine<'_>,
+    profile: &Profile,
+    policy: SnapshotPolicy,
+    last_injection: u64,
+) -> Vec<Snapshot> {
     let horizon = match engine.kind() {
         EngineKind::Interpreter => last_injection,
         EngineKind::Decoded => profile.result.dyn_insts,
@@ -756,10 +636,7 @@ pub fn run_campaign_snapshot_on(
         .max(1);
     let mut snapshots: Vec<Snapshot> = Vec::new();
     let mut m = engine.machine();
-    loop {
-        if m.dyn_insts() >= horizon {
-            break;
-        }
+    while m.dyn_insts() < horizon {
         if m.dyn_insts() > 0
             && m.dyn_insts().is_multiple_of(interval)
             && snapshots.len() < policy.max_snapshots
@@ -786,103 +663,248 @@ pub fn run_campaign_snapshot_on(
             break;
         }
     }
+    snapshots
+}
 
-    let next = AtomicUsize::new(0);
-    let stats_hits = AtomicUsize::new(0);
-    let snapshots = &snapshots;
-    let order = &order;
-    let faults = &faults;
-    let worker = |t: usize| {
-        let mut local: Vec<(usize, Outcome, Option<u64>)> = Vec::new();
-        let (mut steps, mut saved) = (0u64, 0u64);
-        let mut hits = 0usize;
-        // One machine per worker, restored in place per fault: restore
-        // copies into the machine's existing buffers, bounded by the
-        // snapshot's touched stack, so per-injection state setup
-        // allocates nothing once the buffers have grown.  `entry` is
-        // the program start, for faults before the first snapshot.
-        let mut machine = engine.machine();
-        let entry = machine.snapshot();
+/// What the core's workers share: the plan, the order they take it
+/// in, the golden-prefix snapshots, and the next index to steal.
+struct Ctx<'a> {
+    engine: Engine<'a>,
+    golden: &'a RunResult,
+    plan: &'a [Planned],
+    order: &'a [usize],
+    snapshots: Option<&'a [Snapshot]>,
+    next: AtomicUsize,
+}
+
+/// One worker's share of the campaign: `(plan index, outcome)` in the
+/// order it resolved them, plus its telemetry.
+#[derive(Default)]
+struct Worker {
+    outcomes: Vec<(usize, Outcome)>,
+    latencies: Vec<u64>,
+    steps: u64,
+    hits: usize,
+    saved: u64,
+}
+
+impl Ctx<'_> {
+    /// Steals plan entries from the shared counter until none is left.
+    fn work(&self, t: usize, mut observer: Option<&mut (dyn Observer + '_)>) -> Worker {
+        let mut w = Worker::default();
+        // Snapshot runner: one machine per worker, restored in place
+        // per fault — restore copies into the machine's existing
+        // buffers, bounded by the snapshot's touched stack, so
+        // per-injection state setup allocates nothing once the buffers
+        // have grown.  `entry` is the program start, for faults before
+        // the first snapshot.
+        let mut resume = self.snapshots.map(|snapshots| {
+            let m = self.engine.machine();
+            let entry = m.snapshot();
+            (snapshots, m, entry)
+        });
         loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&orig) = order.get(k) else {
-                stats_hits.fetch_add(hits, Ordering::Relaxed);
-                return (local, steps, saved);
+            let k = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = self.order.get(k) else {
+                return w;
             };
-            let fault = faults[orig];
-            // Nearest snapshot at-or-before the injection index:
-            // the last one with dyn_insts <= fault.dyn_index.
-            let pos = match snapshots
-                .binary_search_by_key(&(fault.dyn_index + 1), |s| s.dyn_insts())
-            {
-                Ok(i) | Err(i) => i,
-            };
-            let start = match pos.checked_sub(1).map(|j| &snapshots[j]) {
-                Some(s) => {
-                    hits += 1;
-                    saved += s.dyn_insts();
-                    s
-                }
-                None => &entry,
-            };
-            let clock = StageClock::start();
-            machine.restore(start);
-            clock.stop(t, Stage::SnapshotRestore);
-            let clock = StageClock::start();
-            let run = machine.run_converging(&[fault], snapshots, &profile.result);
-            clock.stop(t, Stage::Replay);
-            steps += run.dyn_insts - start.dyn_insts();
-            let o = classify(run.stop, &run.output, golden);
-            // `Machine::restore` preserves the golden-prefix dynamic
-            // instruction count, so `run.dyn_insts` is the same
-            // whole-run total the serial executor sees and the latency
-            // distribution is engine-independent.
-            let lat = (o == Outcome::Detected)
-                .then(|| detection_latency(run.dyn_insts, fault.dyn_index));
-            flight::injection(t, orig, fault, o, run.dyn_insts, Booking::Executed);
-            local.push((orig, o, lat));
-        }
-    };
-
-    let threads = threads.max(1).min(faults.len());
-    let mut outcomes: Vec<Option<(Outcome, Option<u64>)>> = vec![None; faults.len()];
-    let mut per_worker = Vec::with_capacity(threads);
-    let mut steps_saved = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || worker(t))).collect();
-        for h in handles {
-            let (local, steps, saved) = h.join().expect("campaign worker panicked");
-            steps_saved += saved;
-            per_worker.push(WorkerStats {
-                injections: local.len(),
-                steps_executed: steps,
-            });
-            for (i, o, lat) in local {
-                outcomes[i] = Some((o, lat));
+            let p = self.plan[i];
+            if let Some(obs) = observer.as_deref_mut() {
+                obs.boundary(i);
             }
+            let (outcome, steps, booking) = match p {
+                Planned::Booked(_, o, booking) => (o, 0, booking),
+                Planned::Run(a, b) => {
+                    let pair = [a, b.unwrap_or(a)];
+                    let faults = &pair[..1 + usize::from(b.is_some())];
+                    let run = match &mut resume {
+                        Some((snapshots, m, entry)) => {
+                            // The last snapshot at-or-before the first
+                            // injection point.
+                            let pos = snapshots.partition_point(|s| s.dyn_insts() <= p.first());
+                            let start = match pos.checked_sub(1).map(|j| &snapshots[j]) {
+                                Some(s) => {
+                                    w.hits += 1;
+                                    w.saved += s.dyn_insts();
+                                    s
+                                }
+                                None => &*entry,
+                            };
+                            let clock = StageClock::start();
+                            m.restore(start);
+                            clock.stop(t, Stage::SnapshotRestore);
+                            let clock = StageClock::start();
+                            let run = m.run_converging(faults, snapshots, self.golden);
+                            clock.stop(t, Stage::Replay);
+                            w.steps += run.dyn_insts - start.dyn_insts();
+                            run
+                        }
+                        None => {
+                            let clock = StageClock::start();
+                            let run = self.engine.run_multi(faults);
+                            clock.stop(t, Stage::Injection);
+                            w.steps += run.dyn_insts;
+                            run
+                        }
+                    };
+                    let o = classify(run.stop, &run.output, &self.golden.output);
+                    // Restores keep the golden-prefix instruction count,
+                    // so `run.dyn_insts` is the whole-run total on every
+                    // runner and latency is runner-independent.
+                    if o == Outcome::Detected {
+                        w.latencies
+                            .push(detection_latency(run.dyn_insts, p.first()));
+                    }
+                    (o, run.dyn_insts, Booking::Executed)
+                }
+            };
+            if let Some(obs) = observer.as_deref_mut() {
+                obs.outcome(i, p.fault(), outcome);
+            }
+            flight::injection(t, i, p.fault(), outcome, steps, booking);
+            w.outcomes.push((i, outcome));
         }
-    });
-    let mut latencies = Vec::new();
-    for (fault, slot) in faults.iter().zip(outcomes) {
-        let (outcome, lat) = slot.expect("every fault processed");
-        latencies.extend(lat);
-        result.record(*fault, outcome);
     }
-    result.stats.snapshots_taken = snapshots.len();
-    result.stats.snapshot_hits = stats_hits.load(Ordering::Relaxed);
-    result.stats.steps_executed = per_worker.iter().map(|w| w.steps_executed).sum();
-    result.stats.steps_saved = steps_saved;
-    result.stats.per_worker = per_worker;
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, threads, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    ferrum_trace::counter(
-        "campaign.snapshot.hits",
-        result.stats.snapshot_hits as u64,
-    );
-    ferrum_trace::counter("campaign.snapshot.steps_saved", result.stats.steps_saved);
-    flight::campaign_finished(&result);
-    result
+}
+
+// ---------------------------------------------------------------------------
+// Executors
+// ---------------------------------------------------------------------------
+
+/// Runs a sampled campaign serially on the reference interpreter — the
+/// oracle every other executor and engine is checked against.
+///
+/// # Panics
+///
+/// Panics if the profile has no injectable sites (with `samples > 0`).
+pub fn run_campaign(cpu: &Cpu, profile: &Profile, cfg: CampaignConfig) -> CampaignResult {
+    run_campaign_on(Engine::Interpreter(cpu), profile, cfg)
+}
+
+/// As [`run_campaign`], on an explicit [`Engine`].  Outcome-identical
+/// across engines per seed; only `stats` throughput differs.
+///
+/// # Panics
+///
+/// Panics if the profile has no injectable sites (with `samples > 0`).
+pub fn run_campaign_on(
+    engine: Engine<'_>,
+    profile: &Profile,
+    cfg: CampaignConfig,
+) -> CampaignResult {
+    let plan = Plan::sampled("serial", "campaign.serial", profile, cfg);
+    execute(engine, profile, &plan, Runner::Inline, None)
+}
+
+/// As [`run_campaign_on`], but consults a static [`CoverageMap`]
+/// first: a fault on a byte the analysis proved `Masked` or `Detected`
+/// is booked as `Benign` / `Detected` without executing.  Counts and
+/// records are identical to the serial executor for the same seed —
+/// the map's sound verdicts *are* the outcomes the runs would produce
+/// — and the skipped fraction is [`CampaignStats::pruned_sites`] /
+/// [`CampaignStats::prune_rate`].  Skipped runs have no dynamic trace,
+/// so `stats.latency` samples executed detections only.  The prune
+/// multiplier stacks with the decoded engine's raw throughput.
+///
+/// # Panics
+///
+/// Panics if the profile has no injectable sites (with `samples > 0`).
+pub fn run_campaign_pruned_on(
+    engine: Engine<'_>,
+    profile: &Profile,
+    cfg: CampaignConfig,
+    coverage: &CoverageMap,
+) -> CampaignResult {
+    let mut plan = Plan::sampled("pruned", "campaign.pruned", profile, cfg);
+    for p in &mut plan.injections {
+        let fault = p.fault();
+        // Sites are recorded in dynamic order, so dyn_index is sorted.
+        let verdict = profile
+            .sites
+            .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
+            .ok()
+            .and_then(|i| coverage.verdict_at(profile.sites[i].pc, fault.raw_bit));
+        let known = match verdict {
+            Some(StaticVerdict::Masked) => Outcome::Benign,
+            Some(StaticVerdict::Detected) => Outcome::Detected,
+            _ => continue,
+        };
+        *p = Planned::Booked(fault, known, Booking::Pruned);
+    }
+    execute(engine, profile, &plan, Runner::Inline, None)
+}
+
+/// As [`run_campaign_on`], but fans the injections out over `threads`
+/// workers that steal the next fault index from a shared atomic
+/// counter.  Work stealing keeps every thread busy until the list is
+/// drained — a handful of slow faults (e.g. timeout-bound runs) does
+/// not serialise the tail the way fixed chunking would.  Produces
+/// byte-identical results to the serial version: the fault list is
+/// pre-sampled with the seeded RNG and outcomes are stitched back in
+/// sampling order.
+///
+/// # Panics
+///
+/// Panics if the profile has no injectable sites (with `samples > 0`).
+pub fn run_campaign_parallel_on(
+    engine: Engine<'_>,
+    profile: &Profile,
+    cfg: CampaignConfig,
+    threads: usize,
+) -> CampaignResult {
+    let plan = Plan::sampled("parallel", "campaign.parallel", profile, cfg);
+    execute(engine, profile, &plan, Runner::Whole(threads), None)
+}
+
+/// Snapshot-placement policy for [`run_campaign_snapshot_on`].
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotPolicy {
+    /// Upper bound on captured snapshots.  Each holds the registers,
+    /// globals, touched stack, call stack and output at its point, so
+    /// this bounds the memory the snapshots take.
+    pub max_snapshots: usize,
+    /// Snapshots are at least this many dynamic instructions apart.
+    pub min_interval: u64,
+}
+
+impl Default for SnapshotPolicy {
+    fn default() -> SnapshotPolicy {
+        SnapshotPolicy {
+            max_snapshots: 64,
+            min_interval: 64,
+        }
+    }
+}
+
+/// The snapshot-accelerated campaign engine.
+///
+/// Executes the golden prefix **once**, capturing periodic snapshots up
+/// to the last injection index, then replays each pre-sampled fault
+/// from the nearest snapshot at-or-before its injection point.  Faults
+/// are processed in injection-index order by work-stealing workers.
+/// Snapshots taken by either engine's machine resume on the other, so
+/// the prefix-sharing and decoded speedups compose.  Outcome counts
+/// and records are byte-identical to [`run_campaign`] with the same
+/// seed; only [`CampaignResult::stats`] differs.
+///
+/// # Panics
+///
+/// Panics if the profile has no injectable sites (with `samples > 0`).
+pub fn run_campaign_snapshot_on(
+    engine: Engine<'_>,
+    profile: &Profile,
+    cfg: CampaignConfig,
+    threads: usize,
+    policy: SnapshotPolicy,
+) -> CampaignResult {
+    let plan = Plan::sampled("snapshot", "campaign.snapshot", profile, cfg);
+    execute(
+        engine,
+        profile,
+        &plan,
+        Runner::Snapshot(threads, policy),
+        None,
+    )
 }
 
 /// Runs a **double-fault** campaign: two independent single-bit faults
@@ -891,59 +913,37 @@ pub fn run_campaign_snapshot_on(
 /// principle be defeated when both a value and its shadow are corrupted
 /// consistently — which is exactly why the paper defers multi-bit
 /// faults to future work (§II-A).  `records` stores the first fault of
-/// each pair.
-pub fn run_double_campaign(cpu: &Cpu, profile: &Profile, cfg: CampaignConfig) -> CampaignResult {
-    run_double_campaign_on(Engine::Interpreter(cpu), profile, cfg)
-}
-
-/// As [`run_double_campaign`], on an explicit [`Engine`].
+/// each pair; detection latency is measured from the earlier fault.
+///
+/// # Panics
+///
+/// Panics if the profile has no injectable sites (with `samples > 0`).
 pub fn run_double_campaign_on(
     engine: Engine<'_>,
     profile: &Profile,
     cfg: CampaignConfig,
 ) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.double");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    flight::campaign_started("double", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return result;
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
+    assert!(
+        cfg.samples == 0 || !profile.sites.is_empty(),
+        "no injectable sites"
+    );
     let mut rng = Rng64::seed_from_u64(cfg.seed);
-    let mut latencies = Vec::new();
-    for i in 0..cfg.samples {
-        let a = profile.sites[rng.gen_range(0..profile.sites.len())];
-        let b = profile.sites[rng.gen_range(0..profile.sites.len())];
-        let fa = FaultSpec::new(a.dyn_index, rng.gen_below(u64::from(a.bits)) as u16);
-        let fb = FaultSpec::new(b.dyn_index, rng.gen_below(u64::from(b.bits)) as u16);
-        let clock = StageClock::start();
-        let run = engine.run_multi(&[fa, fb]);
-        clock.stop(0, Stage::Injection);
-        result.stats.steps_executed += run.dyn_insts;
-        let o = classify(run.stop, &run.output, golden);
-        if o == Outcome::Detected {
-            // Latency is measured from the *earlier* of the two faults.
-            latencies.push(detection_latency(
-                run.dyn_insts,
-                fa.dyn_index.min(fb.dyn_index),
-            ));
-        }
-        flight::injection(0, i, fa, o, run.dyn_insts, Booking::Executed);
-        result.record(fa, o);
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    flight::campaign_finished(&result);
-    result
+    let injections = (0..cfg.samples)
+        .map(|_| {
+            let a = profile.sites[rng.gen_range(0..profile.sites.len())];
+            let b = profile.sites[rng.gen_range(0..profile.sites.len())];
+            let fa = FaultSpec::new(a.dyn_index, rng.gen_below(u64::from(a.bits)) as u16);
+            let fb = FaultSpec::new(b.dyn_index, rng.gen_below(u64::from(b.bits)) as u16);
+            Planned::Run(fa, Some(fb))
+        })
+        .collect();
+    let plan = Plan {
+        executor: "double",
+        span: "campaign.double",
+        cfg,
+        injections,
+    };
+    execute(engine, profile, &plan, Runner::Inline, None)
 }
 
 /// Multiplier for the exhaustive sweep's bit stride.  Odd, hence
@@ -957,66 +957,34 @@ const BIT_STRIDE: u32 = 97;
 /// Injects into *every* site with `bits_per_site` evenly spread bit
 /// positions — the exhaustive sweep used to prove coverage claims on
 /// small kernels.
-pub fn exhaustive_campaign(cpu: &Cpu, profile: &Profile, bits_per_site: u16) -> CampaignResult {
-    exhaustive_campaign_on(Engine::Interpreter(cpu), profile, bits_per_site)
-}
-
-/// As [`exhaustive_campaign`], on an explicit [`Engine`].
 pub fn exhaustive_campaign_on(
     engine: Engine<'_>,
     profile: &Profile,
     bits_per_site: u16,
 ) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.exhaustive");
-    let t0 = Instant::now();
-    let golden = &profile.result.output;
-    let mut result = CampaignResult::default();
-    let total = profile.sites.len() * usize::from(bits_per_site);
-    flight::campaign_started(
-        "exhaustive",
-        engine.kind(),
-        CampaignConfig {
-            samples: total,
+    // Raw bits spread across each site's own width: every eligible
+    // width is a power of two and 97 is odd, so `k·97 mod w` permutes
+    // `0..w` per site (reducing `k·97 mod 256` later would not).
+    let injections: Vec<Planned> = profile
+        .sites
+        .iter()
+        .flat_map(|site| {
+            (0..bits_per_site).map(move |k| {
+                let raw = (u32::from(k) * BIT_STRIDE % site.bits.max(1)) as u16;
+                Planned::Run(FaultSpec::new(site.dyn_index, raw), None)
+            })
+        })
+        .collect();
+    let plan = Plan {
+        executor: "exhaustive",
+        span: "campaign.exhaustive",
+        cfg: CampaignConfig {
+            samples: injections.len(),
             seed: 0,
         },
-        profile,
-        total,
-    );
-    let mut latencies = Vec::new();
-    let mut index = 0usize;
-    for site in &profile.sites {
-        for k in 0..bits_per_site {
-            // Spread raw bits across this site's own destination width.
-            // (Spreading over a fixed 256 and reducing modulo the width
-            // at injection time collapses the stride for narrow
-            // destinations: e.g. `k·97 mod 256` reduced mod 4 for an
-            // RFLAGS site walks residues unevenly.  Every eligible
-            // width is a power of two and 97 is odd, so `k·97 mod w`
-            // still permutes `0..w` per site.)
-            let raw = (u32::from(k) * BIT_STRIDE % site.bits.max(1)) as u16;
-            let fault = FaultSpec::new(site.dyn_index, raw);
-            let clock = StageClock::start();
-            let run = engine.run(Some(fault));
-            clock.stop(0, Stage::Injection);
-            result.stats.steps_executed += run.dyn_insts;
-            let o = classify(run.stop, &run.output, golden);
-            if o == Outcome::Detected {
-                latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-            }
-            flight::injection(0, index, fault, o, run.dyn_insts, Booking::Executed);
-            index += 1;
-            result.record(fault, o);
-        }
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    flight::campaign_finished(&result);
-    result
+        injections,
+    };
+    execute(engine, profile, &plan, Runner::Inline, None)
 }
 
 #[cfg(test)]
@@ -1145,7 +1113,7 @@ mod tests {
             seed: 11,
         };
         let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &coverage);
+        let pruned = run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, cfg, &coverage);
         assert_eq!(serial, pruned, "pruned engine must be outcome-identical");
         assert!(
             pruned.stats.pruned_sites > 0,
@@ -1171,7 +1139,8 @@ mod tests {
             seed: 5,
         };
         let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &CoverageMap::default());
+        let empty = CoverageMap::default();
+        let pruned = run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, cfg, &empty);
         assert_eq!(serial, pruned);
         assert_eq!(pruned.stats.pruned_sites, 0);
         assert_eq!(pruned.stats.prune_rate(), 0.0);
@@ -1183,7 +1152,7 @@ mod tests {
     fn exhaustive_covers_every_site() {
         let cpu = sum_cpu();
         let profile = cpu.profile();
-        let res = exhaustive_campaign(&cpu, &profile, 3);
+        let res = exhaustive_campaign_on(Engine::Interpreter(&cpu), &profile, 3);
         assert_eq!(res.total(), profile.sites.len() * 3);
     }
 
@@ -1221,7 +1190,7 @@ mod tests {
         };
         let serial = run_campaign(&cpu, &profile, cfg);
         for threads in [1, 3, 8] {
-            let par = run_campaign_parallel(&cpu, &profile, cfg, threads);
+            let par = run_campaign_parallel_on(Engine::Interpreter(&cpu), &profile, cfg, threads);
             assert_eq!(par, serial, "{threads} threads");
         }
     }
@@ -1230,6 +1199,7 @@ mod tests {
     fn snapshot_campaign_matches_serial_exactly() {
         let cpu = sum_cpu();
         let profile = cpu.profile();
+        let interp = Engine::Interpreter(&cpu);
         let cfg = CampaignConfig {
             samples: 240,
             seed: 77,
@@ -1247,7 +1217,7 @@ mod tests {
                     min_interval: 1,
                 },
             ] {
-                let snap = run_campaign_snapshot(&cpu, &profile, cfg, threads, policy);
+                let snap = run_campaign_snapshot_on(interp, &profile, cfg, threads, policy);
                 assert_eq!(snap, serial, "{threads} threads, {policy:?}");
             }
         }
@@ -1265,7 +1235,7 @@ mod tests {
             max_snapshots: 1000,
             min_interval: 1,
         };
-        let res = run_campaign_snapshot(&cpu, &profile, cfg, 2, policy);
+        let res = run_campaign_snapshot_on(Engine::Interpreter(&cpu), &profile, cfg, 2, policy);
         assert!(res.stats.snapshots_taken > 0);
         assert!(res.stats.snapshot_hits > 0);
         assert!(res.stats.steps_saved > 0, "{:?}", res.stats);
@@ -1279,15 +1249,16 @@ mod tests {
     fn zero_sample_campaigns_are_empty_not_panicking() {
         let cpu = sum_cpu();
         let profile = cpu.profile();
+        let interp = Engine::Interpreter(&cpu);
         let cfg = CampaignConfig {
             samples: 0,
             seed: 1,
         };
         for res in [
             run_campaign(&cpu, &profile, cfg),
-            run_campaign_parallel(&cpu, &profile, cfg, 8),
-            run_campaign_snapshot(&cpu, &profile, cfg, 8, SnapshotPolicy::default()),
-            run_double_campaign(&cpu, &profile, cfg),
+            run_campaign_parallel_on(interp, &profile, cfg, 8),
+            run_campaign_snapshot_on(interp, &profile, cfg, 8, SnapshotPolicy::default()),
+            run_double_campaign_on(interp, &profile, cfg),
         ] {
             assert_eq!(res.total(), 0);
             assert!(res.records.is_empty());
@@ -1299,14 +1270,15 @@ mod tests {
     fn double_fault_campaign_runs_and_counts() {
         let cpu = sum_cpu();
         let profile = cpu.profile();
+        let interp = Engine::Interpreter(&cpu);
         let cfg = CampaignConfig {
             samples: 150,
             seed: 21,
         };
-        let res = run_double_campaign(&cpu, &profile, cfg);
+        let res = run_double_campaign_on(interp, &profile, cfg);
         assert_eq!(res.total(), 150);
         assert!(res.sdc > 0, "two faults in an unprotected program: {res:?}");
-        let res2 = run_double_campaign(&cpu, &profile, cfg);
+        let res2 = run_double_campaign_on(interp, &profile, cfg);
         assert_eq!(res, res2, "reproducible");
     }
 
@@ -1405,6 +1377,7 @@ mod tests {
     fn detection_latencies_match_across_engines() {
         let cpu = protected_sum_cpu();
         let profile = cpu.profile();
+        let interp = Engine::Interpreter(&cpu);
         let cfg = CampaignConfig {
             samples: 240,
             seed: 77,
@@ -1430,10 +1403,10 @@ mod tests {
             .sum();
         assert_eq!(total as usize, serial.detected);
 
-        let par = run_campaign_parallel(&cpu, &profile, cfg, 4);
+        let par = run_campaign_parallel_on(interp, &profile, cfg, 4);
         assert_eq!(par.stats.latency, serial.stats.latency);
-        let snap = run_campaign_snapshot(
-            &cpu,
+        let snap = run_campaign_snapshot_on(
+            interp,
             &profile,
             cfg,
             4,
@@ -1449,6 +1422,7 @@ mod tests {
     fn per_worker_stats_cover_all_work() {
         let cpu = sum_cpu();
         let profile = cpu.profile();
+        let interp = Engine::Interpreter(&cpu);
         let cfg = CampaignConfig {
             samples: 120,
             seed: 5,
@@ -1457,8 +1431,8 @@ mod tests {
         assert_eq!(serial.stats.per_worker.len(), 1);
         assert!((serial.stats.worker_balance() - 1.0).abs() < 1e-12);
         for res in [
-            run_campaign_parallel(&cpu, &profile, cfg, 4),
-            run_campaign_snapshot(&cpu, &profile, cfg, 4, SnapshotPolicy::default()),
+            run_campaign_parallel_on(interp, &profile, cfg, 4),
+            run_campaign_snapshot_on(interp, &profile, cfg, 4, SnapshotPolicy::default()),
         ] {
             assert!(!res.stats.per_worker.is_empty());
             assert!(res.stats.per_worker.len() <= 4);
@@ -1559,7 +1533,7 @@ mod tests {
             max_snapshots: 64,
             min_interval: 1,
         };
-        let snap = run_campaign_snapshot(&cpu, &profile, cfg, 2, policy);
+        let snap = run_campaign_snapshot_on(Engine::Interpreter(&cpu), &profile, cfg, 2, policy);
         assert_eq!(snap, serial);
         let dc = ferrum_cpu::decoded::DecodedCpu::new(&cpu);
         let dec = run_campaign_snapshot_on(Engine::Decoded(&dc), &profile, cfg, 2, policy);
@@ -1571,6 +1545,7 @@ mod tests {
         let cpu = protected_sum_cpu();
         let dc = ferrum_cpu::decoded::DecodedCpu::new(&cpu);
         let profile = cpu.profile();
+        let interp = Engine::Interpreter(&cpu);
         let dprofile = Engine::Decoded(&dc).profile();
         assert_eq!(profile.sites, dprofile.sites);
         assert_eq!(profile.result, dprofile.result);
@@ -1582,19 +1557,19 @@ mod tests {
         assert_eq!(run_campaign_on(e, &profile, cfg), run_campaign(&cpu, &profile, cfg));
         assert_eq!(
             run_campaign_parallel_on(e, &profile, cfg, 3),
-            run_campaign_parallel(&cpu, &profile, cfg, 3)
+            run_campaign_parallel_on(interp, &profile, cfg, 3)
         );
         assert_eq!(
             run_campaign_snapshot_on(e, &profile, cfg, 3, SnapshotPolicy::default()),
-            run_campaign_snapshot(&cpu, &profile, cfg, 3, SnapshotPolicy::default())
+            run_campaign_snapshot_on(interp, &profile, cfg, 3, SnapshotPolicy::default())
         );
         assert_eq!(
             run_double_campaign_on(e, &profile, cfg),
-            run_double_campaign(&cpu, &profile, cfg)
+            run_double_campaign_on(interp, &profile, cfg)
         );
         assert_eq!(
             exhaustive_campaign_on(e, &profile, 2),
-            exhaustive_campaign(&cpu, &profile, 2)
+            exhaustive_campaign_on(interp, &profile, 2)
         );
         // Latency distributions (not just outcome counts) agree.
         assert_eq!(
@@ -1630,7 +1605,7 @@ mod tests {
             samples: 50,
             seed: 4,
         };
-        let res = run_campaign_parallel(&cpu, &profile, cfg, 4);
+        let res = run_campaign_parallel_on(Engine::Interpreter(&cpu), &profile, cfg, 4);
         assert!(res.stats.wall_nanos > 0);
         assert!(res.stats.injections_per_sec > 0.0);
         assert!(res.stats.threads >= 1 && res.stats.threads <= 4);

@@ -20,8 +20,8 @@
 //!    much as the local one and never contradicts a dynamic outcome
 //!    the local map would not have contradicted.
 //!
-//! 2. **Incremental campaigns** ([`run_campaign_incremental`]): the
-//!    stratified executor ([`run_campaign_stratified`]) samples each
+//! 2. **Incremental campaigns** ([`run_campaign_incremental_on`]): the
+//!    stratified executor ([`run_campaign_stratified_on`]) samples each
 //!    function's sites with a per-function RNG stream keyed by the
 //!    function *name* and caches the draws and outcomes per function
 //!    content hash ([`function_hash`]).  After an edit, only
@@ -42,7 +42,6 @@
 //! workload catalog.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use ferrum_asm::analysis::cfg::Cfg;
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict, VerdictCounts};
@@ -50,15 +49,14 @@ use ferrum_asm::analysis::liveness::{ByteSet, Liveness};
 use ferrum_asm::analysis::summary::{function_hash, SummaryMap};
 use ferrum_asm::{AsmProgram, Inst, EXIT_FUNCTION, PRINT_I64};
 use ferrum_cpu::fault::FaultSpec;
-use ferrum_cpu::run::{Cpu, Profile};
+use ferrum_cpu::run::Profile;
 use ferrum_rng::Rng64;
 
 use crate::campaign::{
-    classify, detection_latency, finish_stats, CampaignConfig, CampaignResult, DetectionLatency,
-    Outcome, WorkerStats,
+    execute, CampaignConfig, CampaignResult, Observer, Outcome, Plan, Planned, Runner,
 };
 use crate::engine::Engine;
-use crate::flight::{self, Booking, Stage, StageClock};
+use crate::flight::{self, Booking};
 
 /// The program's entry function: its final register state is
 /// architecturally unobservable (the harness compares only the output
@@ -287,7 +285,7 @@ pub struct FunctionShard {
 }
 
 /// Cached per-function campaign shards, the reuse substrate of
-/// [`run_campaign_incremental`].
+/// [`run_campaign_incremental_on`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignCache {
     /// Seed the shards were drawn with.
@@ -311,15 +309,10 @@ fn name_seed(name: &str) -> u64 {
 }
 
 /// The dynamic sites of `profile` partitioned per function of `p`, in
-/// program order, with each function's content hash.  Sites are
-/// attributed through the flat-pc ranges of the loaded image (same
-/// function order as the program).
-struct Partition {
-    /// `(name, hash, indices into profile.sites)` per function.
-    functions: Vec<(String, u64, Vec<usize>)>,
-}
-
-fn partition_sites(p: &AsmProgram, profile: &Profile) -> Partition {
+/// program order: `(name, content hash, indices into profile.sites)`
+/// per function.  Sites are attributed through the flat-pc ranges of
+/// the loaded image (same function order as the program).
+fn partition_sites(p: &AsmProgram, profile: &Profile) -> Vec<(String, u64, Vec<usize>)> {
     // Flat pc ranges, mirroring the image load order.
     let mut ranges = Vec::with_capacity(p.functions.len());
     let mut pc = 0usize;
@@ -338,7 +331,7 @@ fn partition_sites(p: &AsmProgram, profile: &Profile) -> Partition {
         debug_assert!(s.pc < ranges[fi].3);
         functions[fi].2.push(i);
     }
-    Partition { functions }
+    functions
 }
 
 /// Per-function sample quota: proportional to the function's share of
@@ -367,7 +360,7 @@ fn draw_shard(seed: u64, n: usize, site_indices: &[usize], profile: &Profile) ->
 /// sampled by an independent per-function RNG stream (keyed by the
 /// function name), with quotas proportional to site counts.  Returns
 /// the result plus the [`CampaignCache`] that
-/// [`run_campaign_incremental`] reuses.
+/// [`run_campaign_incremental_on`] reuses.
 ///
 /// The stratified result is *not* record-identical to [`run_campaign`]
 /// (the sampling scheme differs) but is drawn from the same per-site
@@ -378,29 +371,19 @@ fn draw_shard(seed: u64, n: usize, site_indices: &[usize], profile: &Profile) ->
 /// Panics if the profile has no injectable sites (with `samples > 0`).
 ///
 /// [`run_campaign`]: crate::campaign::run_campaign
-pub fn run_campaign_stratified(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    program: &AsmProgram,
-) -> (CampaignResult, CampaignCache) {
-    run_campaign_stratified_on(Engine::Interpreter(cpu), profile, cfg, program)
-}
-
-/// As [`run_campaign_stratified`], on an explicit [`Engine`].
 pub fn run_campaign_stratified_on(
     engine: Engine<'_>,
     profile: &Profile,
     cfg: CampaignConfig,
     program: &AsmProgram,
 ) -> (CampaignResult, CampaignCache) {
-    run_incremental_on(engine, profile, cfg, program, None)
+    run_shards(engine, profile, cfg, program, None)
 }
 
 /// Re-runs a stratified campaign after an edit, replaying cached
 /// shards for every function whose content hash and dynamic-site
 /// count are unchanged and re-injecting only the rest.  The merged
-/// result is record-identical to [`run_campaign_stratified`] on the
+/// result is record-identical to [`run_campaign_stratified_on`] on the
 /// edited program with the same config; the replayed fraction is
 /// reported in [`CampaignStats::reused_sites`] /
 /// [`CampaignStats::reuse_rate`].
@@ -414,17 +397,6 @@ pub fn run_campaign_stratified_on(
 ///
 /// [`CampaignStats::reused_sites`]: crate::campaign::CampaignStats::reused_sites
 /// [`CampaignStats::reuse_rate`]: crate::campaign::CampaignStats::reuse_rate
-pub fn run_campaign_incremental(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    program: &AsmProgram,
-    cache: &CampaignCache,
-) -> (CampaignResult, CampaignCache) {
-    run_campaign_incremental_on(Engine::Interpreter(cpu), profile, cfg, program, cache)
-}
-
-/// As [`run_campaign_incremental`], on an explicit [`Engine`].
 pub fn run_campaign_incremental_on(
     engine: Engine<'_>,
     profile: &Profile,
@@ -432,123 +404,143 @@ pub fn run_campaign_incremental_on(
     program: &AsmProgram,
     cache: &CampaignCache,
 ) -> (CampaignResult, CampaignCache) {
-    run_incremental_on(engine, profile, cfg, program, Some(cache))
+    run_shards(engine, profile, cfg, program, Some(cache))
 }
 
-fn run_incremental_on(
+/// One function's stratum of the fault plan: its shard of the new
+/// cache, whether that shard replays a cached one, and one past its
+/// last plan index.
+struct Stratum {
+    shard: FunctionShard,
+    reused: bool,
+    end: usize,
+}
+
+/// Emits each stratum's shard event once its draws have resolved.
+struct ShardEvents<'a> {
+    strata: &'a [Stratum],
+    next: usize,
+}
+
+impl Observer for ShardEvents<'_> {
+    fn boundary(&mut self, i: usize) {
+        while let Some(s) = self.strata.get(self.next).filter(|s| s.end <= i) {
+            let shard = &s.shard;
+            flight::function_shard(
+                &shard.name,
+                shard.hash,
+                shard.sites,
+                shard.draws.len(),
+                s.reused,
+            );
+            self.next += 1;
+        }
+    }
+}
+
+/// The stratified plan: per function, the cached shard booked as
+/// reused when it still matches, otherwise fresh draws to execute.
+fn run_shards(
     engine: Engine<'_>,
     profile: &Profile,
     cfg: CampaignConfig,
     program: &AsmProgram,
     cache: Option<&CampaignCache>,
 ) -> (CampaignResult, CampaignCache) {
-    let _span = ferrum_trace::span("campaign.incremental");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    let mut new_cache = CampaignCache {
-        seed: cfg.seed,
-        samples: cfg.samples,
-        shards: Vec::new(),
+    let executor = if cache.is_some() {
+        "incremental"
+    } else {
+        "stratified"
     };
-    let executor = if cache.is_some() { "incremental" } else { "stratified" };
-    if cfg.samples == 0 {
-        flight::campaign_started(executor, engine.kind(), cfg, profile, 0);
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return (result, new_cache);
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
     let cache = cache.filter(|c| c.seed == cfg.seed && c.samples == cfg.samples);
-    let part = partition_sites(program, profile);
-    let total_sites = profile.sites.len();
-    // Quotas are proportional-with-floor, so the true total can exceed
-    // cfg.samples; the recorder needs the real figure for shard layout
-    // and progress denominators.
-    let total: usize = part
-        .functions
-        .iter()
-        .map(|(_, _, s)| quota(cfg.samples, s.len(), total_sites))
-        .sum();
-    flight::campaign_started(executor, engine.kind(), cfg, profile, total);
-    let golden = &profile.result.output;
-    let mut latencies = Vec::new();
-    let mut index = 0usize;
-    for (name, hash, site_indices) in &part.functions {
-        let n = quota(cfg.samples, site_indices.len(), total_sites);
+    let functions = if cfg.samples == 0 {
+        Vec::new()
+    } else {
+        assert!(!profile.sites.is_empty(), "no injectable sites");
+        partition_sites(program, profile)
+    };
+    let mut injections = Vec::new();
+    let mut strata = Vec::with_capacity(functions.len());
+    for (name, hash, site_indices) in functions {
+        let n = quota(cfg.samples, site_indices.len(), profile.sites.len());
         let cached = cache.and_then(|c| {
             c.shards.iter().find(|s| {
-                &s.name == name
-                    && s.hash == *hash
+                s.name == name
+                    && s.hash == hash
                     && s.sites == site_indices.len()
                     && s.draws.len() == n
             })
         });
-        let draws: Vec<ShardDraw> = match cached {
-            Some(shard) => {
-                // Unchanged function: replay the cached outcomes at
-                // the (possibly shifted) new dynamic indices.
-                result.stats.reused_sites += shard.draws.len();
-                for d in &shard.draws {
-                    let dyn_index = profile.sites[site_indices[d.local_site as usize]].dyn_index;
-                    let fault = FaultSpec::new(dyn_index, d.raw_bit);
-                    flight::injection(0, index, fault, d.outcome, 0, Booking::Reused);
-                    index += 1;
-                    result.record(fault, d.outcome);
-                }
-                shard.draws.clone()
-            }
-            None => draw_shard(cfg.seed ^ name_seed(name), n, site_indices, profile)
+        // An unchanged function replays its cached outcomes at the
+        // (possibly shifted) new dynamic indices; fresh draws get
+        // theirs from the run.
+        let draws = match cached {
+            Some(shard) => shard.draws.clone(),
+            None => draw_shard(cfg.seed ^ name_seed(&name), n, &site_indices, profile)
                 .into_iter()
-                .map(|(k, raw_bit)| {
-                    let fault =
-                        FaultSpec::new(profile.sites[site_indices[k]].dyn_index, raw_bit);
-                    let clock = StageClock::start();
-                    let run = engine.run(Some(fault));
-                    clock.stop(0, Stage::Injection);
-                    result.stats.steps_executed += run.dyn_insts;
-                    let o = classify(run.stop, &run.output, golden);
-                    if o == Outcome::Detected {
-                        latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-                    }
-                    flight::injection(0, index, fault, o, run.dyn_insts, Booking::Executed);
-                    index += 1;
-                    result.record(fault, o);
-                    ShardDraw {
-                        local_site: k as u32,
-                        raw_bit,
-                        outcome: o,
-                    }
+                .map(|(k, raw_bit)| ShardDraw {
+                    local_site: k as u32,
+                    raw_bit,
+                    outcome: Outcome::Benign,
                 })
                 .collect(),
         };
-        flight::function_shard(name, *hash, site_indices.len(), draws.len(), cached.is_some());
-        new_cache.shards.push(FunctionShard {
-            name: name.clone(),
-            hash: *hash,
+        for d in &draws {
+            let site = profile.sites[site_indices[d.local_site as usize]];
+            let fault = FaultSpec::new(site.dyn_index, d.raw_bit);
+            injections.push(match cached {
+                Some(_) => Planned::Booked(fault, d.outcome, Booking::Reused),
+                None => Planned::Run(fault, None),
+            });
+        }
+        let shard = FunctionShard {
+            name,
+            hash,
             sites: site_indices.len(),
             draws,
+        };
+        strata.push(Stratum {
+            shard,
+            reused: cached.is_some(),
+            end: injections.len(),
         });
     }
-    // `injections` counts everything the campaign booked — replayed
-    // shards included — matching every other executor (and the
-    // campaign-schema invariant that per-worker injections sum to
-    // `stats.injections`).  The executed-only figure is recoverable as
-    // `injections - reused_sites`.
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    ferrum_trace::counter("campaign.reused", result.stats.reused_sites as u64);
-    flight::campaign_finished(&result);
+    // Quotas are proportional-with-floor, so the plan can hold more
+    // than cfg.samples faults; the recorder sizes its shards and
+    // progress from the plan.
+    let plan = Plan {
+        executor,
+        span: "campaign.incremental",
+        cfg,
+        injections,
+    };
+    let mut events = ShardEvents {
+        strata: &strata,
+        next: 0,
+    };
+    let result = execute(engine, profile, &plan, Runner::Inline, Some(&mut events));
+    let shards = strata
+        .into_iter()
+        .map(|mut s| {
+            let records = &result.records[s.end - s.shard.draws.len()..s.end];
+            for (d, &(_, outcome)) in s.shard.draws.iter_mut().zip(records) {
+                d.outcome = outcome;
+            }
+            s.shard
+        })
+        .collect();
+    let new_cache = CampaignCache {
+        seed: cfg.seed,
+        samples: cfg.samples,
+        shards,
+    };
     (result, new_cache)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ferrum_cpu::run::Cpu;
     use ferrum_mir::builder::FunctionBuilder;
     use ferrum_mir::module::{Global, Module};
     use ferrum_mir::types::Ty;
@@ -734,8 +726,9 @@ main_end:
     fn stratified_campaign_is_reproducible_and_covers_both_functions() {
         let (asm, cpu) = compiled();
         let profile = cpu.profile();
-        let (a, cache_a) = run_campaign_stratified(&cpu, &profile, cfg(200, 11), &asm);
-        let (b, cache_b) = run_campaign_stratified(&cpu, &profile, cfg(200, 11), &asm);
+        let interp = Engine::Interpreter(&cpu);
+        let (a, cache_a) = run_campaign_stratified_on(interp, &profile, cfg(200, 11), &asm);
+        let (b, cache_b) = run_campaign_stratified_on(interp, &profile, cfg(200, 11), &asm);
         assert_eq!(a, b);
         assert_eq!(cache_a, cache_b);
         // Quota floors undershoot by at most one sample per function.
@@ -751,8 +744,10 @@ main_end:
     fn incremental_with_unchanged_program_reuses_everything() {
         let (asm, cpu) = compiled();
         let profile = cpu.profile();
-        let (full, cache) = run_campaign_stratified(&cpu, &profile, cfg(150, 3), &asm);
-        let (inc, cache2) = run_campaign_incremental(&cpu, &profile, cfg(150, 3), &asm, &cache);
+        let interp = Engine::Interpreter(&cpu);
+        let (full, cache) = run_campaign_stratified_on(interp, &profile, cfg(150, 3), &asm);
+        let (inc, cache2) =
+            run_campaign_incremental_on(interp, &profile, cfg(150, 3), &asm, &cache);
         assert_eq!(full, inc, "replayed result must be record-identical");
         assert_eq!(cache, cache2);
         assert_eq!(inc.stats.reused_sites, inc.total());
@@ -764,7 +759,8 @@ main_end:
     fn incremental_after_single_function_edit_reinjects_only_that_function() {
         let (asm, cpu) = compiled();
         let profile = cpu.profile();
-        let (_, cache) = run_campaign_stratified(&cpu, &profile, cfg(150, 9), &asm);
+        let (_, cache) =
+            run_campaign_stratified_on(Engine::Interpreter(&cpu), &profile, cfg(150, 9), &asm);
 
         // Edit `helper` only: append a no-op-equivalent instruction
         // (a `nop` has no injectable destination and no architectural
@@ -781,10 +777,11 @@ main_end:
             .insert(0, ferrum_asm::AsmInst::synthetic(Inst::Nop));
         let cpu2 = Cpu::load(&edited).unwrap();
         let profile2 = cpu2.profile();
+        let interp = Engine::Interpreter(&cpu2);
 
-        let (full, _) = run_campaign_stratified(&cpu2, &profile2, cfg(150, 9), &edited);
+        let (full, _) = run_campaign_stratified_on(interp, &profile2, cfg(150, 9), &edited);
         let (inc, cache2) =
-            run_campaign_incremental(&cpu2, &profile2, cfg(150, 9), &edited, &cache);
+            run_campaign_incremental_on(interp, &profile2, cfg(150, 9), &edited, &cache);
         assert_eq!(full, inc, "incremental ≡ full stratified re-run");
 
         // Only helper re-injected; every other shard replayed.
@@ -808,10 +805,11 @@ main_end:
     fn cache_with_wrong_seed_is_ignored() {
         let (asm, cpu) = compiled();
         let profile = cpu.profile();
-        let (_, cache) = run_campaign_stratified(&cpu, &profile, cfg(100, 1), &asm);
-        let (inc, _) = run_campaign_incremental(&cpu, &profile, cfg(100, 2), &asm, &cache);
+        let interp = Engine::Interpreter(&cpu);
+        let (_, cache) = run_campaign_stratified_on(interp, &profile, cfg(100, 1), &asm);
+        let (inc, _) = run_campaign_incremental_on(interp, &profile, cfg(100, 2), &asm, &cache);
         assert_eq!(inc.stats.reused_sites, 0, "seed mismatch voids the cache");
-        let (full, _) = run_campaign_stratified(&cpu, &profile, cfg(100, 2), &asm);
+        let (full, _) = run_campaign_stratified_on(interp, &profile, cfg(100, 2), &asm);
         assert_eq!(full, inc);
     }
 

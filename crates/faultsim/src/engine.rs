@@ -3,8 +3,8 @@
 //! Every campaign executor is parameterized over an [`Engine`]: either
 //! the reference interpreter ([`Cpu`]) or the decode-once flattened
 //! engine ([`DecodedCpu`], `ferrum_cpu::decoded`).  Both expose the
-//! same surface — `run`, `run_multi`, `resume`, `profile`, and a
-//! steppable machine with interchangeable [`Snapshot`]s — and are
+//! same surface — `run`, `run_multi`, `profile`, and a steppable
+//! machine with interchangeable [`Snapshot`]s — and are
 //! byte-identical per seed, so an executor's outcome counts, records,
 //! and latency distribution never depend on the engine; only
 //! throughput does.  `EngineKind` is the serializable selector CLI
@@ -44,11 +44,7 @@ impl EngineKind {
 
     /// Parses a CLI flag value.
     pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "interpreter" => Some(EngineKind::Interpreter),
-            "decoded" => Some(EngineKind::Decoded),
-            _ => None,
-        }
+        EngineKind::ALL.into_iter().find(|k| k.label() == s)
     }
 
     /// Binds this kind to a loaded `cpu` and runs `f` with the
@@ -96,14 +92,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The active step limit.
-    pub fn step_limit(&self) -> u64 {
-        match self {
-            Engine::Interpreter(c) => c.step_limit(),
-            Engine::Decoded(d) => d.step_limit(),
-        }
-    }
-
     /// Runs the program, optionally injecting one fault.
     pub fn run(&self, fault: Option<FaultSpec>) -> RunResult {
         match self {
@@ -117,49 +105,6 @@ impl<'a> Engine<'a> {
         match self {
             Engine::Interpreter(c) => c.run_multi(faults),
             Engine::Decoded(d) => d.run_multi(faults),
-        }
-    }
-
-    /// Resumes from a snapshot (snapshots interchange between engines).
-    pub fn resume(&self, snap: &Snapshot, faults: &[FaultSpec]) -> RunResult {
-        match self {
-            Engine::Interpreter(c) => c.resume(snap, faults),
-            Engine::Decoded(d) => d.resume(snap, faults),
-        }
-    }
-
-    /// [`Engine::resume`] with the golden-trace convergence
-    /// short-circuit where the engine has one: the decoded engine
-    /// compares the post-fault run against the fault-free
-    /// `checkpoints` and stitches the remainder from `golden` on an
-    /// exact state match; the interpreter — the measured baseline —
-    /// ignores the golden data and resumes plainly.  Outcomes are
-    /// byte-identical either way: the short-circuit fires only on full
-    /// architectural-state equality.
-    pub fn resume_converging(
-        &self,
-        snap: &Snapshot,
-        faults: &[FaultSpec],
-        checkpoints: &[Snapshot],
-        golden: &RunResult,
-    ) -> RunResult {
-        match self {
-            Engine::Interpreter(c) => c.resume(snap, faults),
-            Engine::Decoded(d) => d.resume_converging(snap, faults, checkpoints, golden),
-        }
-    }
-
-    /// [`Engine::run_multi`] with the convergence short-circuit of
-    /// [`Engine::resume_converging`].
-    pub fn run_converging(
-        &self,
-        faults: &[FaultSpec],
-        checkpoints: &[Snapshot],
-        golden: &RunResult,
-    ) -> RunResult {
-        match self {
-            Engine::Interpreter(c) => c.run_multi(faults),
-            Engine::Decoded(d) => d.run_converging(faults, checkpoints, golden),
         }
     }
 
@@ -200,14 +145,6 @@ impl EngineMachine<'_> {
         match self {
             EngineMachine::Interpreter(m) => m.dyn_insts(),
             EngineMachine::Decoded(m) => m.dyn_insts(),
-        }
-    }
-
-    /// Cycles accumulated so far.
-    pub fn cycles(&self) -> u64 {
-        match self {
-            EngineMachine::Interpreter(m) => m.cycles(),
-            EngineMachine::Decoded(m) => m.cycles(),
         }
     }
 
@@ -292,9 +229,13 @@ impl EngineMachine<'_> {
     }
 
     /// [`EngineMachine::run_to_completion`] with the golden-trace
-    /// convergence short-circuit where the engine has one (see
-    /// [`Engine::resume_converging`]); the interpreter — the measured
-    /// baseline — ignores the golden data and runs plainly.
+    /// convergence short-circuit where the engine has one: the decoded
+    /// engine compares the post-fault run against the fault-free
+    /// `checkpoints` and stitches the remainder from `golden` on an
+    /// exact state match; the interpreter — the measured baseline —
+    /// ignores the golden data and runs plainly.  Outcomes are
+    /// byte-identical either way: the short-circuit fires only on full
+    /// architectural-state equality.
     pub fn run_converging(
         &mut self,
         faults: &[FaultSpec],
@@ -334,7 +275,6 @@ mod tests {
         let (ei, ed) = (Engine::Interpreter(&c), Engine::Decoded(&d));
         assert_eq!(ei.kind(), EngineKind::Interpreter);
         assert_eq!(ed.kind(), EngineKind::Decoded);
-        assert_eq!(ei.step_limit(), ed.step_limit());
         assert_eq!(ei.run(None), ed.run(None));
         assert_eq!(ei.profile().sites, ed.profile().sites);
         let mut mi = ei.machine();

@@ -54,10 +54,7 @@ use std::time::Instant;
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_cpu::run::Profile;
 
-use crate::campaign::{
-    classify, detection_latency, finish_stats, sample_faults, CampaignConfig, CampaignResult,
-    DetectionLatency, Outcome, WorkerStats,
-};
+use crate::campaign::{execute, CampaignConfig, CampaignResult, Outcome, Plan, Planned, Runner};
 use crate::engine::{Engine, EngineKind};
 use crate::stats::wilson_interval;
 
@@ -67,7 +64,7 @@ use crate::stats::wilson_interval;
 
 /// Full config fingerprint of a campaign, carried by
 /// [`CampaignEvent::Started`] and validated on resume.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignFingerprint {
     /// Workload label (empty when the caller did not set one).
     pub workload: String,
@@ -119,15 +116,6 @@ impl OutcomeTallies {
             Outcome::Timeout => self.timeout += 1,
             Outcome::Benign => self.benign += 1,
         }
-    }
-
-    /// Merges another tally in.
-    pub fn merge(&mut self, other: &OutcomeTallies) {
-        self.sdc += other.sdc;
-        self.detected += other.detected;
-        self.crash += other.crash;
-        self.timeout += other.timeout;
-        self.benign += other.benign;
     }
 
     /// Total outcomes booked.
@@ -1025,11 +1013,6 @@ pub(crate) fn function_shard(name: &str, hash: u64, sites: usize, draws: usize, 
     with_recorder(|r| r.on_function_shard(name, hash, sites, draws, reused));
 }
 
-/// Probe: `worker` spent `nanos` wall-clock in `stage` once.
-pub(crate) fn stage_time(worker: usize, stage: Stage, nanos: u64) {
-    with_recorder(|r| r.on_stage(worker, stage, nanos));
-}
-
 /// Wall-clock guard for stage timing.  Reads the clock only when a
 /// recorder is installed, so campaigns running without one never pay
 /// for stage timestamps.
@@ -1043,10 +1026,11 @@ impl StageClock {
     }
 
     /// Stops timing and books the elapsed wall-clock into `stage` for
-    /// `worker`.
+    /// `worker` (one observation).
     pub(crate) fn stop(self, worker: usize, stage: Stage) {
         if let Some(t) = self.0 {
-            stage_time(worker, stage, t.elapsed().as_nanos() as u64);
+            let nanos = t.elapsed().as_nanos() as u64;
+            with_recorder(|r| r.on_stage(worker, stage, nanos));
         }
     }
 }
@@ -1095,22 +1079,6 @@ pub struct JournalSnapshot {
     /// True when the stream carries the finished event (nothing to
     /// resume).
     pub finished: bool,
-}
-
-impl Default for CampaignFingerprint {
-    fn default() -> CampaignFingerprint {
-        CampaignFingerprint {
-            workload: String::new(),
-            technique: String::new(),
-            executor: String::new(),
-            engine: EngineKind::Interpreter,
-            samples: 0,
-            seed: 0,
-            sites: 0,
-            golden_dyn_insts: 0,
-            program_hash: 0,
-        }
-    }
 }
 
 impl JournalSnapshot {
@@ -1168,6 +1136,7 @@ impl JournalSnapshot {
 /// through their own [`CampaignCache`]; double/exhaustive sweeps do
 /// not sample.
 ///
+/// [`sample_faults`]: crate::campaign::sample_faults
 /// [`CampaignCache`]: crate::compose::CampaignCache
 const RESUMABLE: &[&str] = &["serial", "parallel", "snapshot", "pruned", "forensic", "resume"];
 
@@ -1191,7 +1160,6 @@ pub fn resume_campaign_from_journal(
     cfg: CampaignConfig,
     journal: &JournalSnapshot,
 ) -> Result<CampaignResult, String> {
-    let _span = ferrum_trace::span("campaign.resume");
     let fp = &journal.fingerprint;
     if !RESUMABLE.contains(&fp.executor.as_str()) {
         return Err(format!(
@@ -1221,19 +1189,9 @@ pub fn resume_campaign_from_journal(
         ));
     }
 
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    campaign_started("resume", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        campaign_finished(&result);
-        return Ok(result);
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-
-    // Completed-shard lookup: sampling index -> journaled record.
-    let mut journaled: Vec<Option<(FaultSpec, Outcome)>> = vec![None; cfg.samples];
+    // Book every journaled record over the re-sampled fault it must
+    // match.
+    let mut plan = Plan::sampled("resume", "campaign.resume", profile, cfg);
     for shard in &journal.shards {
         if shard.seed != cfg.seed {
             return Err(format!("shard {} carries foreign seed {:#x}", shard.shard, shard.seed));
@@ -1247,46 +1205,16 @@ pub fn resume_campaign_from_journal(
         {
             return Err(format!("shard {} is malformed", shard.shard));
         }
-        for (k, &(fault, outcome)) in shard.records.iter().enumerate() {
-            journaled[shard.start + k] = Some((fault, outcome));
+        for (i, &(fault, outcome)) in (shard.start..).zip(&shard.records) {
+            if fault != plan.injections[i].fault() {
+                return Err(format!(
+                    "journaled fault at index {i} does not match the seed's sample — wrong program or corrupt journal"
+                ));
+            }
+            plan.injections[i] = Planned::Booked(fault, outcome, Booking::Reused);
         }
     }
-
-    let mut latencies = Vec::new();
-    for (i, fault) in sample_faults(profile, cfg).into_iter().enumerate() {
-        match journaled[i] {
-            Some((jf, outcome)) => {
-                if jf != fault {
-                    return Err(format!(
-                        "journaled fault at index {i} does not match the seed's sample — wrong program or corrupt journal"
-                    ));
-                }
-                result.stats.reused_sites += 1;
-                injection(0, i, fault, outcome, 0, Booking::Reused);
-                result.record(fault, outcome);
-            }
-            None => {
-                let run = engine.run(Some(fault));
-                result.stats.steps_executed += run.dyn_insts;
-                let o = classify(run.stop, &run.output, golden);
-                if o == Outcome::Detected {
-                    latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-                }
-                injection(0, i, fault, o, run.dyn_insts, Booking::Executed);
-                result.record(fault, o);
-            }
-        }
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    ferrum_trace::counter("campaign.resumed", result.stats.reused_sites as u64);
-    campaign_finished(&result);
-    Ok(result)
+    Ok(execute(engine, profile, &plan, Runner::Inline, None))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! diverge architecturally, **how** did it fan out over time, and
 //! **which** checker executed afterwards yet failed to fire — and why.
 //!
-//! For each selected fault sample, [`forensic_replay`] re-runs the
+//! For each selected fault sample, [`forensic_replay_on`] re-runs the
 //! golden and the faulted execution in lock-step from the injection
 //! boundary (sharing the golden prefix via
 //! [`ferrum_cpu::snapshot::Machine`] snapshots, the same determinism
@@ -27,18 +27,19 @@
 //!   which repairing the faulty run's registers from the golden run
 //!   still restores the golden output.
 //!
-//! [`run_campaign_forensic`] wraps the reference serial executor: its
-//! [`CampaignResult`] is outcome-identical to [`run_campaign`] for the
-//! same seed (forensic replay is observational only), and the records
-//! aggregate into a [`ForensicsReport`] with escape-reason and
-//! per-mechanism histograms.  [`explain_unknown_sites`] cross-links the
-//! records to a static [`CoverageMap`], giving every
-//! statically-`Unknown` site that produced an SDC a measured
-//! explanation.
+//! [`run_campaign_forensic_on`] is the serial executor with a replay
+//! observer: its [`CampaignResult`] is outcome-identical to
+//! [`run_campaign_on`] for the same seed (forensic replay is
+//! observational only), and the records aggregate into a
+//! [`ForensicsReport`] with escape-reason and per-mechanism
+//! histograms.  [`explain_unknown_sites`] cross-links the records to a
+//! static [`CoverageMap`], giving every statically-`Unknown` site that
+//! produced an SDC a measured explanation.
+//!
+//! [`run_campaign_on`]: crate::campaign::run_campaign_on
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::time::Instant;
 
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict};
 use ferrum_asm::provenance::{Mechanism, Provenance};
@@ -48,15 +49,12 @@ use ferrum_cpu::differential::{
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::image::Image;
-use ferrum_cpu::run::{Cpu, Profile};
+use ferrum_cpu::run::Profile;
 use ferrum_cpu::snapshot::Snapshot;
 
-use crate::campaign::{
-    classify, detection_latency, finish_stats, sample_faults, CampaignConfig, CampaignResult,
-    DetectionLatency, Outcome, WorkerStats,
-};
+use crate::campaign::{execute, CampaignConfig, CampaignResult, Observer, Outcome, Plan, Runner};
 use crate::engine::{Engine, EngineMachine};
-use crate::flight;
+use crate::stats::min_median_max;
 
 /// Why a checker that executed after the injection failed to fire — or,
 /// at record level, why the whole protection scheme let the fault
@@ -317,74 +315,50 @@ impl ForensicsReport {
             .count()
     }
 
-    /// Per-record propagation depths (distinct locations ever tainted).
-    pub fn propagation_depths(&self) -> Vec<usize> {
-        self.records
-            .iter()
-            .map(|r| r.taint.propagation_depth)
-            .collect()
-    }
-
-    /// Injection→output latencies for records whose corruption reached
-    /// the output.
-    pub fn output_latencies(&self) -> Vec<u64> {
-        self.records
-            .iter()
-            .filter_map(|r| {
-                r.taint
-                    .time_to_output
-                    .map(|t| t.saturating_sub(r.fault.dyn_index))
-            })
-            .collect()
-    }
-
-    /// `(min, median, max)` of the propagation depths, if any records
-    /// were analyzed.
+    /// `(min, median, max)` of the propagation depths (distinct
+    /// locations ever tainted), if any records were analyzed — on the
+    /// shared nearest-rank convention of [`min_median_max`].
     pub fn depth_summary(&self) -> Option<(usize, usize, usize)> {
-        summary(self.propagation_depths())
+        min_median_max(
+            self.records
+                .iter()
+                .map(|r| r.taint.propagation_depth)
+                .collect(),
+        )
     }
 
     /// `(min, median, max)` of the injection→output latencies, if any
     /// corruption reached the output.
     pub fn latency_summary(&self) -> Option<(u64, u64, u64)> {
-        summary(self.output_latencies())
+        let latencies = self.records.iter().filter_map(|r| {
+            let t = r.taint.time_to_output?;
+            Some(t.saturating_sub(r.fault.dyn_index))
+        });
+        min_median_max(latencies.collect())
     }
 
     /// Recomputes the aggregate histograms from the records.
     pub fn finish(&mut self) {
-        self.reason_histogram = EscapeReason::ALL
-            .into_iter()
-            .map(|reason| {
-                let n = self
-                    .records
-                    .iter()
-                    .filter(|r| r.primary_reason == Some(reason))
-                    .count();
-                (reason, n)
-            })
-            .filter(|&(_, n)| n > 0)
-            .collect();
-        self.mechanism_escapes = Mechanism::ALL
-            .into_iter()
-            .map(|mech| {
-                let n = self
-                    .records
-                    .iter()
-                    .flat_map(|r| &r.checkers)
-                    .filter(|c| c.mechanism == mech)
-                    .count();
-                (mech, n)
-            })
-            .filter(|&(_, n)| n > 0)
-            .collect();
+        let reasons = self.records.iter().filter_map(|r| r.primary_reason);
+        self.reason_histogram = histogram(EscapeReason::ALL, reasons);
+        let mechanisms = self
+            .records
+            .iter()
+            .flat_map(|r| &r.checkers)
+            .map(|c| c.mechanism);
+        self.mechanism_escapes = histogram(Mechanism::ALL, mechanisms);
     }
 }
 
-fn summary<T: Copy + Ord>(v: Vec<T>) -> Option<(T, T, T)> {
-    // Shared nearest-rank definition — keeps forensic medians,
-    // detection-latency percentiles, and flight-recorder snapshots on
-    // one percentile convention.
-    crate::stats::min_median_max(v)
+/// Occurrences of each key in `items`, in `keys` order, omitting zeros.
+fn histogram<K: Copy + PartialEq, const N: usize>(
+    keys: [K; N],
+    items: impl Iterator<Item = K> + Clone,
+) -> Vec<(K, usize)> {
+    keys.into_iter()
+        .map(|k| (k, items.clone().filter(|&i| i == k).count()))
+        .filter(|&(_, n)| n > 0)
+        .collect()
 }
 
 /// A statically-`Unknown` coverage site whose sampled fault produced an
@@ -471,6 +445,31 @@ impl TimelineSampler {
             }
         }
         self.seen += 1;
+    }
+}
+
+/// The taint walk's running state: every location ever tainted, the
+/// peak live set, and the bounded timeline.
+struct TaintWalk {
+    ever: BTreeSet<u64>,
+    peak_live: usize,
+    timeline: TimelineSampler,
+}
+
+impl TaintWalk {
+    /// Books the live corruption at one instruction boundary.
+    fn observe(&mut self, live: &RegDiff, mem: &MemDivergence, dyn_index: u64) {
+        accumulate_taint(&mut self.ever, live, mem);
+        let s = TaintSample {
+            dyn_index,
+            gprs: live.gprs.len(),
+            simd_lanes: live.simd_lanes.len(),
+            flags: live.flags,
+            mem_bytes: mem.len(),
+            cumulative: self.ever.len(),
+        };
+        self.peak_live = self.peak_live.max(s.live());
+        self.timeline.push(s);
     }
 }
 
@@ -629,26 +628,10 @@ fn bisect_kill_window(
     }
 }
 
-/// Differentially replays one fault sample and explains it.
-///
-/// # Panics
-///
-/// Panics if `fault.dyn_index` lies beyond the golden run (faults
-/// drawn from `profile.sites` never do).
-pub fn forensic_replay(
-    cpu: &Cpu,
-    profile: &Profile,
-    fault: FaultSpec,
-    outcome: Outcome,
-    fcfg: &ForensicConfig,
-) -> ForensicRecord {
-    forensic_replay_on(Engine::Interpreter(cpu), profile, fault, outcome, fcfg)
-}
-
-/// As [`forensic_replay`], on an explicit [`Engine`].  The decoded
-/// machine's `step_faulted` always executes exactly one instruction
-/// (never a fused group), so the lock-step walk observes the same
-/// boundaries on either engine and records are identical.
+/// Differentially replays one fault sample and explains it.  The
+/// decoded machine's `step_faulted` always executes exactly one
+/// instruction (never a fused group), so the lock-step walk observes
+/// the same boundaries on either [`Engine`] and records are identical.
 ///
 /// # Panics
 ///
@@ -692,40 +675,16 @@ pub fn forensic_replay_on(
             loc,
         });
 
-    let mut ever = BTreeSet::new();
-    let mut sampler = TimelineSampler::new(fcfg.max_taint_samples);
+    let mut taint = TaintWalk {
+        ever: BTreeSet::new(),
+        peak_live: 0,
+        timeline: TimelineSampler::new(fcfg.max_taint_samples),
+    };
     let mut checkers: Vec<CheckerEscape> = Vec::new();
-    let mut peak_live = 0usize;
     let mut quiescence = None;
     let mut time_to_output = None;
     let mut control_diverged = false;
-
-    accumulate_taint(&mut ever, &live, &mem);
-    let boundary_sample = |live: &RegDiff,
-                           mem: &MemDivergence,
-                           dyn_index: u64,
-                           ever: &BTreeSet<u64>,
-                           sampler: &mut TimelineSampler,
-                           peak: &mut usize| {
-        let s = TaintSample {
-            dyn_index,
-            gprs: live.gprs.len(),
-            simd_lanes: live.simd_lanes.len(),
-            flags: live.flags,
-            mem_bytes: mem.len(),
-            cumulative: ever.len(),
-        };
-        *peak = (*peak).max(s.live());
-        sampler.push(s);
-    };
-    boundary_sample(
-        &live,
-        &mem,
-        faulty.dyn_insts(),
-        &ever,
-        &mut sampler,
-        &mut peak_live,
-    );
+    taint.observe(&live, &mem, faulty.dyn_insts());
 
     // Lock-step walk while both runs agree on control flow.
     let mut steps = 0u64;
@@ -774,15 +733,7 @@ pub fn forensic_replay_on(
         if time_to_output.is_none() && golden.state().output != faulty.state().output {
             time_to_output = Some(faulty.dyn_insts());
         }
-        accumulate_taint(&mut ever, &live, &mem);
-        boundary_sample(
-            &live,
-            &mem,
-            faulty.dyn_insts(),
-            &ever,
-            &mut sampler,
-            &mut peak_live,
-        );
+        taint.observe(&live, &mem, faulty.dyn_insts());
     }
 
     // Past a control-flow divergence (or past the golden run's end) the
@@ -819,9 +770,9 @@ pub fn forensic_replay_on(
         site_pc: inject_pc,
         divergence,
         taint: TaintTimeline {
-            samples: sampler.samples,
-            peak_live,
-            propagation_depth: ever.len(),
+            samples: taint.timeline.samples,
+            peak_live: taint.peak_live,
+            propagation_depth: taint.ever.len(),
             quiescence,
             time_to_output,
         },
@@ -831,27 +782,14 @@ pub fn forensic_replay_on(
     }
 }
 
-/// Runs the reference serial campaign while forensically replaying
-/// every sample whose outcome matches `fcfg.outcomes` (up to
-/// `fcfg.max_records`).
+/// Runs the serial campaign while forensically replaying every sample
+/// whose outcome matches `fcfg.outcomes` (up to `fcfg.max_records`).
 ///
 /// The returned [`CampaignResult`] is outcome-identical to
-/// [`crate::campaign::run_campaign`] for the same seed: replay is
-/// purely observational, driven by the same pre-sampled fault list.
+/// [`run_campaign_on`] for the same seed: replay is purely
+/// observational, driven by the same pre-sampled fault list.
 ///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_forensic(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    fcfg: &ForensicConfig,
-) -> (CampaignResult, ForensicsReport) {
-    run_campaign_forensic_on(Engine::Interpreter(cpu), profile, cfg, fcfg)
-}
-
-/// As [`run_campaign_forensic`], on an explicit [`Engine`].
+/// [`run_campaign_on`]: crate::campaign::run_campaign_on
 ///
 /// # Panics
 ///
@@ -862,54 +800,45 @@ pub fn run_campaign_forensic_on(
     cfg: CampaignConfig,
     fcfg: &ForensicConfig,
 ) -> (CampaignResult, ForensicsReport) {
-    let _span = ferrum_trace::span("campaign.forensic");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    let mut report = ForensicsReport::default();
-    flight::campaign_started("forensic", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return (result, report);
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let mut latencies = Vec::new();
-    for (i, fault) in sample_faults(profile, cfg).into_iter().enumerate() {
-        let run = engine.run(Some(fault));
-        result.stats.steps_executed += run.dyn_insts;
-        let o = classify(run.stop, &run.output, golden);
-        if o == Outcome::Detected {
-            latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-        }
-        if fcfg.outcomes.contains(&o) {
-            report.matching_total += 1;
-            if report.records.len() < fcfg.max_records {
-                report
-                    .records
-                    .push(forensic_replay_on(engine, profile, fault, o, fcfg));
-            }
-        }
-        flight::injection(0, i, fault, o, run.dyn_insts, flight::Booking::Executed);
-        result.record(fault, o);
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
+    let mut replay = Replay {
+        engine,
+        profile,
+        fcfg,
+        report: ForensicsReport::default(),
+    };
+    let plan = Plan::sampled("forensic", "campaign.forensic", profile, cfg);
+    let result = execute(engine, profile, &plan, Runner::Inline, Some(&mut replay));
+    let mut report = replay.report;
     ferrum_trace::counter("forensics.replays", report.records.len() as u64);
-    flight::campaign_finished(&result);
     report.finish();
     (result, report)
+}
+
+/// The forensic campaign's observer: replays each matching outcome.
+struct Replay<'a> {
+    engine: Engine<'a>,
+    profile: &'a Profile,
+    fcfg: &'a ForensicConfig,
+    report: ForensicsReport,
+}
+
+impl Observer for Replay<'_> {
+    fn outcome(&mut self, _i: usize, fault: FaultSpec, outcome: Outcome) {
+        if self.fcfg.outcomes.contains(&outcome) {
+            self.report.matching_total += 1;
+            if self.report.records.len() < self.fcfg.max_records {
+                let r = forensic_replay_on(self.engine, self.profile, fault, outcome, self.fcfg);
+                self.report.records.push(r);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
+    use ferrum_cpu::run::Cpu;
     use ferrum_mir::builder::FunctionBuilder;
     use ferrum_mir::module::{Global, Module};
     use ferrum_mir::types::Ty;
@@ -952,7 +881,7 @@ mod tests {
             max_records: usize::MAX,
             ..ForensicConfig::default()
         };
-        run_campaign_forensic(cpu, &profile, cfg, &fcfg)
+        run_campaign_forensic_on(Engine::Interpreter(cpu), &profile, cfg, &fcfg)
     }
 
     #[test]
@@ -964,8 +893,8 @@ mod tests {
                 seed: 41,
             };
             let serial = run_campaign(&cpu, &profile, cfg);
-            let (forensic, report) = run_campaign_forensic(
-                &cpu,
+            let (forensic, report) = run_campaign_forensic_on(
+                Engine::Interpreter(&cpu),
                 &profile,
                 cfg,
                 &ForensicConfig::default(),
@@ -1071,9 +1000,16 @@ mod tests {
     fn zero_sample_forensics_is_empty() {
         let cpu = unprotected_cpu();
         let profile = cpu.profile();
-        let cfg = CampaignConfig { samples: 0, seed: 1 };
-        let (result, report) =
-            run_campaign_forensic(&cpu, &profile, cfg, &ForensicConfig::default());
+        let cfg = CampaignConfig {
+            samples: 0,
+            seed: 1,
+        };
+        let (result, report) = run_campaign_forensic_on(
+            Engine::Interpreter(&cpu),
+            &profile,
+            cfg,
+            &ForensicConfig::default(),
+        );
         assert_eq!(result.total(), 0);
         assert_eq!(report.analyzed(), 0);
         assert_eq!(report.matching_total, 0);

@@ -13,10 +13,12 @@
 //!   path,
 //! * **Benign** — the program completed with the correct output.
 //!
-//! [`campaign`] runs sampled campaigns (the paper uses 1000 faults per
-//! benchmark) and exhaustive sweeps (used by the soundness tests that
-//! prove the 100%-coverage claim on small kernels).  [`stats`] computes
-//! SDC probability and the paper's SDC-coverage metric with
+//! Every campaign — sampled (the paper uses 1000 faults per
+//! benchmark), pruned, parallel, snapshot-accelerated, double-fault,
+//! exhaustive (the soundness tests' 100%-coverage sweeps), stratified,
+//! incremental, forensic or resumed — is a fault plan run by the one
+//! executor core in [`campaign`], on either [`Engine`].  [`stats`]
+//! computes SDC probability and the paper's SDC-coverage metric with
 //! binomial confidence intervals, and [`rootcause`] attributes SDCs to
 //! the provenance of the faulted instruction, reproducing the paper's
 //! root-cause analysis of IR-level EDDI's coverage loss (§IV-B1).
@@ -31,15 +33,13 @@ pub mod rootcause;
 pub mod stats;
 
 pub use campaign::{
-    exhaustive_campaign, exhaustive_campaign_on, run_campaign, run_campaign_on,
-    run_campaign_parallel, run_campaign_parallel_on, run_campaign_pruned, run_campaign_pruned_on,
-    run_campaign_snapshot, run_campaign_snapshot_on, run_double_campaign, run_double_campaign_on,
-    CampaignConfig, CampaignResult, CampaignStats, Outcome, SnapshotPolicy,
+    exhaustive_campaign_on, run_campaign, run_campaign_on, run_campaign_parallel_on,
+    run_campaign_pruned_on, run_campaign_snapshot_on, run_double_campaign_on, CampaignConfig,
+    CampaignResult, CampaignStats, Outcome, SnapshotPolicy,
 };
 pub use compose::{
-    compose, run_campaign_incremental, run_campaign_incremental_on, run_campaign_stratified,
-    run_campaign_stratified_on, CampaignCache, ComposedFunction, ComposedMap, ComposedSite,
-    FunctionShard, ShardDraw,
+    compose, run_campaign_incremental_on, run_campaign_stratified_on, CampaignCache,
+    ComposedFunction, ComposedMap, ComposedSite, FunctionShard, ShardDraw,
 };
 pub use engine::{Engine, EngineKind, EngineMachine};
 pub use flight::{
@@ -48,10 +48,9 @@ pub use flight::{
     OutcomeTallies, ProgressSnapshot, ShardRecord, TeeSink,
 };
 pub use forensics::{
-    explain_unknown_sites, forensic_replay, forensic_replay_on, run_campaign_forensic,
-    run_campaign_forensic_on, CheckerEscape, Divergence, EscapeReason, ForensicConfig,
-    ForensicRecord, ForensicsReport, KillWindow, TaintSample, TaintTimeline,
-    UnknownSiteExplanation,
+    explain_unknown_sites, forensic_replay_on, run_campaign_forensic_on, CheckerEscape,
+    Divergence, EscapeReason, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow,
+    TaintSample, TaintTimeline, UnknownSiteExplanation,
 };
 pub use rootcause::{attribute_sdcs, breakdown_by_kind, KindBreakdown, RootCauseReport};
 pub use stats::{min_median_max, percentile_nearest_rank, sdc_coverage, wilson_interval};

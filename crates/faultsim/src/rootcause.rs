@@ -90,15 +90,6 @@ impl KindBreakdown {
             self.flag_sdcs as f64 / self.flag_faults as f64
         }
     }
-
-    /// SDC probability of register-destination faults.
-    pub fn reg_sdc_rate(&self) -> f64 {
-        if self.reg_faults == 0 {
-            0.0
-        } else {
-            self.reg_sdcs as f64 / self.reg_faults as f64
-        }
-    }
 }
 
 /// Splits campaign outcomes by whether the fault targeted RFLAGS.
@@ -227,7 +218,8 @@ mod tests {
         let asm = ferrum_backend::compile(&m).unwrap();
         let cpu = Cpu::load(&asm).unwrap();
         let profile = cpu.profile();
-        let res = crate::campaign::exhaustive_campaign(&cpu, &profile, 4);
+        let res =
+            crate::campaign::exhaustive_campaign_on(crate::Engine::Interpreter(&cpu), &profile, 4);
         let kinds = breakdown_by_kind(&profile, &res);
         assert!(kinds.flag_faults > 0, "cmp/test sites must exist");
         assert!(

@@ -27,7 +27,8 @@ use ferrum::{
 use ferrum_asm::analysis::lint::{lint_program, lint_program_with};
 use ferrum_backend::{compile, compile_opt, OptLevel, ProgramMeta};
 use ferrum_cpu::decoded::DecodedCpu;
-use ferrum_faultsim::campaign::{run_campaign, run_campaign_pruned};
+use ferrum_faultsim::campaign::{run_campaign, run_campaign_pruned_on};
+use ferrum_faultsim::engine::Engine;
 use ferrum_mir::interp::Interp;
 
 use crate::gen::generate_module;
@@ -285,7 +286,7 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                     seed: seed ^ 0xC0FFEE,
                 };
                 let serial = run_campaign(&cpu, &profile, cfg);
-                let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+                let pruned = run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, cfg, &map);
                 c.check("pruned-identity", serial == pruned, || {
                     "pruned campaign diverged from serial engine".into()
                 });

@@ -14,6 +14,9 @@ cargo build --release --offline --workspace
 echo "== tier1: cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== tier1: cargo doc --offline (rustdoc warnings, e.g. dangling intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --lib
+
 echo "== tier1: cargo test -q --offline"
 cargo test -q --offline --workspace
 

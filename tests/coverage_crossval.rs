@@ -8,7 +8,7 @@
 //!    must agree with every `Masked` (→ `Benign`) and `Detected`
 //!    (→ `Detected`) claim — in particular, no SDC may ever land on a
 //!    statically-decided site.
-//! 2. **Pruning changes nothing**: `run_campaign_pruned` is
+//! 2. **Pruning changes nothing**: `run_campaign_pruned_on` is
 //!    outcome-identical to the serial engine per seed, fault for
 //!    fault.
 //! 3. **Pruning is worth it**: on FERRUM-protected catalog binaries
@@ -23,9 +23,10 @@ use ferrum_cpu::fault::FaultSpec;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
 use ferrum_faultsim::campaign::{
-    run_campaign, run_campaign_pruned, run_campaign_snapshot, CampaignConfig, Outcome,
+    run_campaign, run_campaign_pruned_on, run_campaign_snapshot_on, CampaignConfig, Outcome,
     SnapshotPolicy,
 };
+use ferrum_faultsim::Engine;
 use ferrum_mir::module::Module;
 use ferrum_workloads::catalog::{all_workloads, Scale};
 
@@ -91,7 +92,13 @@ fn assert_sound(what: &str, asm: &AsmProgram, samples: usize, expect_decided: bo
         samples,
         seed: 0xC0DE,
     };
-    let res = run_campaign_snapshot(&cpu, &profile, cfg, threads(), SnapshotPolicy::default());
+    let res = run_campaign_snapshot_on(
+        Engine::Interpreter(&cpu),
+        &profile,
+        cfg,
+        threads(),
+        SnapshotPolicy::default(),
+    );
     let mut decided = 0usize;
     for &(fault, outcome) in &res.records {
         match verdict_of(&profile, &map, fault) {
@@ -148,7 +155,7 @@ fn pruned_engine_is_outcome_identical_across_configs() {
             seed: 0xFE44,
         };
         let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+        let pruned = run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, cfg, &map);
         assert_eq!(
             serial, pruned,
             "{cfg_name}/pathfinder: pruned engine diverged from serial"
@@ -169,7 +176,7 @@ fn ferrum_prune_rate_clears_twenty_percent_on_all_workloads() {
             seed: 0xFE44,
         };
         let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+        let pruned = run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, cfg, &map);
         assert_eq!(
             serial, pruned,
             "ferrum/{}: pruned engine diverged from serial",
@@ -210,7 +217,7 @@ fn manifest_validated_map_is_sound_and_still_prunes() {
         seed: 0xBEEF,
     };
     let serial = run_campaign(&cpu, &profile, cfg);
-    let pruned = run_campaign_pruned(&cpu, &profile, cfg, &validated);
+    let pruned = run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, cfg, &validated);
     assert_eq!(serial, pruned);
     assert!(
         pruned.stats.prune_rate() >= 0.20,

@@ -22,16 +22,19 @@ use std::sync::{Arc, Mutex};
 use ferrum::flight::{event_to_ndjson, journal_from_ndjson, parse_events, NdjsonSink};
 use ferrum::{
     install_flight_recorder, program_signature, resume_campaign_from_journal,
-    uninstall_flight_recorder, CampaignConfig, CampaignEvent, CampaignResult, EngineKind,
-    FlightEvent, FlightPolicy, FlightRecorder, JournalSnapshot, MemorySink, Pipeline,
-    SnapshotPolicy, Stage, Technique,
+    uninstall_flight_recorder, CampaignConfig, CampaignEvent, CampaignResult, CoverageMap, Engine,
+    EngineKind, FlightEvent, FlightPolicy, FlightRecorder, ForensicConfig, JournalSnapshot,
+    MemorySink, Pipeline, SnapshotPolicy, Stage, Technique,
 };
 use ferrum_asm::program::AsmProgram;
 use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_faultsim::campaign::{
-    run_campaign_on, run_campaign_parallel_on, run_campaign_snapshot_on,
+    exhaustive_campaign_on, run_campaign_on, run_campaign_parallel_on, run_campaign_pruned_on,
+    run_campaign_snapshot_on, run_double_campaign_on,
 };
 use ferrum_faultsim::compose::{run_campaign_incremental_on, run_campaign_stratified_on};
+use ferrum_faultsim::forensics::run_campaign_forensic_on;
+use ferrum_rng::Rng64;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -230,22 +233,105 @@ fn stage_counts(events: &[FlightEvent]) -> Vec<(usize, Stage, u64)> {
         .collect()
 }
 
+/// Total count per stage over all workers, in [`Stage::ALL`] order.
+fn stage_totals(events: &[FlightEvent]) -> Vec<(Stage, u64)> {
+    let counts = stage_counts(events);
+    Stage::ALL
+        .into_iter()
+        .filter_map(|stage| {
+            let n: u64 = counts.iter().filter(|c| c.1 == stage).map(|c| c.2).sum();
+            (n > 0).then_some((stage, n))
+        })
+        .collect()
+}
+
+/// docs/events-schema.md: every faulted run executed whole is timed as
+/// one `injection`, every snapshot replay as one `snapshot-restore`
+/// plus one `replay`; faults booked from a coverage verdict, a cache
+/// or a journal execute nothing and are never timed.
 #[test]
-fn compose_executors_time_every_executed_injection() {
+fn every_executor_times_every_executed_run() {
     let _g = lock();
     let (prog, cpu, profile) = load("kmeans", Technique::Ferrum);
+    let coverage = CoverageMap::analyze(&prog);
+    // The exhaustive sweep injects into every listed site; a sparse
+    // site list keeps it small.
+    let mut sparse = profile.clone();
+    sparse.sites = profile.sites.iter().step_by(211).copied().collect();
+    let injection = |runs: usize| vec![(Stage::Injection, runs as u64)];
     for engine in EngineKind::ALL {
         let label = engine.label();
-        let (full, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-            engine.with_cpu(&cpu, |e| {
-                run_campaign_stratified_on(e, &profile, CFG, &prog).0
+        let timed = |run: &dyn Fn(Engine<'_>) -> CampaignResult| {
+            record(&prog, &cpu, FlightPolicy::default(), || {
+                engine.with_cpu(&cpu, run)
             })
-        });
-        let executed = full.total() as u64;
-        assert!(executed > 0, "{label}: nothing injected");
+        };
+
+        let (serial, serial_events) = timed(&|e| run_campaign_on(e, &profile, CFG));
         assert_eq!(
-            stage_counts(&events),
-            vec![(0, Stage::Injection, executed)],
+            stage_totals(&serial_events),
+            injection(serial.total()),
+            "{label}: serial"
+        );
+
+        let (r, events) = timed(&|e| run_campaign_parallel_on(e, &profile, CFG, 3));
+        assert_eq!(
+            stage_totals(&events),
+            injection(r.total()),
+            "{label}: parallel"
+        );
+
+        let (r, events) = timed(&|e| run_campaign_pruned_on(e, &profile, CFG, &coverage));
+        assert!(r.stats.pruned_sites > 0, "{label}: nothing pruned");
+        assert_eq!(
+            stage_totals(&events),
+            injection(r.total() - r.stats.pruned_sites),
+            "{label}: pruned"
+        );
+
+        let (r, events) = timed(&|e| run_double_campaign_on(e, &profile, CFG));
+        assert_eq!(
+            stage_totals(&events),
+            injection(r.total()),
+            "{label}: double"
+        );
+
+        let (r, events) = timed(&|e| exhaustive_campaign_on(e, &sparse, 2));
+        assert_eq!(
+            r.total(),
+            sparse.sites.len() * 2,
+            "{label}: exhaustive size"
+        );
+        assert_eq!(
+            stage_totals(&events),
+            injection(r.total()),
+            "{label}: exhaustive"
+        );
+
+        let (r, events) =
+            timed(&|e| run_campaign_forensic_on(e, &profile, CFG, &ForensicConfig::default()).0);
+        assert_eq!(
+            stage_totals(&events),
+            injection(r.total()),
+            "{label}: forensic"
+        );
+
+        let journal =
+            JournalSnapshot::from_events(cut_after_shards(&serial_events, 2)).expect("journal");
+        let (r, events) =
+            timed(&|e| resume_campaign_from_journal(e, &profile, CFG, &journal).expect("resumes"));
+        assert!(r.stats.reused_sites > 0, "{label}: nothing resumed");
+        assert_eq!(
+            stage_totals(&events),
+            injection(r.total() - r.stats.reused_sites),
+            "{label}: resume"
+        );
+
+        let (full, events) = timed(&|e| run_campaign_stratified_on(e, &profile, CFG, &prog).0);
+        assert!(full.total() > 0, "{label}: nothing injected");
+        assert_eq!(
+            stage_totals(&events),
+            injection(full.total()),
             "{label}: stratified"
         );
 
@@ -254,20 +340,38 @@ fn compose_executors_time_every_executed_injection() {
         let (_, mut cache) = engine.with_cpu(&cpu, |e| {
             run_campaign_stratified_on(e, &profile, CFG, &prog)
         });
-        let dropped = cache.shards.pop().expect("a shard").draws.len() as u64;
+        let dropped = cache.shards.pop().expect("a shard").draws.len();
         assert!(dropped > 0, "{label}: empty shard");
-        let (inc, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-            engine.with_cpu(&cpu, |e| {
-                run_campaign_incremental_on(e, &profile, CFG, &prog, &cache).0
-            })
-        });
+        let (inc, events) =
+            timed(&|e| run_campaign_incremental_on(e, &profile, CFG, &prog, &cache).0);
         assert_eq!(inc.records, full.records, "{label}: incremental records");
-        assert_eq!(inc.stats.reused_sites as u64, executed - dropped);
+        assert_eq!(inc.stats.reused_sites, full.total() - dropped);
         assert_eq!(
-            stage_counts(&events),
-            vec![(0, Stage::Injection, dropped)],
+            stage_totals(&events),
+            injection(dropped),
             "{label}: incremental"
         );
+
+        // The snapshot runner restores and replays instead of running
+        // whole; its golden walk is timed on worker 0.
+        let (r, events) =
+            timed(&|e| run_campaign_snapshot_on(e, &profile, CFG, 2, SnapshotPolicy::default()));
+        let totals = stage_totals(&events);
+        let count = |stage| totals.iter().find(|t| t.0 == stage).map_or(0, |t| t.1);
+        let replays = r.total() as u64;
+        assert_eq!(
+            count(Stage::SnapshotRestore),
+            replays,
+            "{label}: snapshot restores"
+        );
+        assert_eq!(count(Stage::Replay), replays, "{label}: snapshot replays");
+        assert_eq!(count(Stage::Injection), 0, "{label}: snapshot whole runs");
+        assert_eq!(
+            count(Stage::SnapshotCapture),
+            r.stats.snapshots_taken as u64,
+            "{label}: snapshot captures"
+        );
+        assert!(count(Stage::GoldenRun) > 0, "{label}: golden walk untimed");
     }
 }
 
@@ -467,44 +571,32 @@ fn torn_journal_tail_resumes_from_the_last_complete_record() {
 }
 
 // ---------------------------------------------------------------------
-// Proptest sweep (off by default; hermetic-build policy)
+// Seeded sweep: any seed, any kill point
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "proptest")]
-mod prop {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Any seed, any kill point: resume is byte-identical.
-        #[test]
-        fn resume_is_identical_for_any_seed_and_kill_point(
-            seed in 0u64..u64::MAX,
-            kill in 0usize..32,
-        ) {
-            let _g = lock();
-            let (prog, cpu, profile) = load("bfs", Technique::Ferrum);
-            let cfg = CampaignConfig { samples: 64, seed };
-            let (full, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-                run_campaign_on(ferrum_faultsim::Engine::Interpreter(&cpu), &profile, cfg)
-            });
-            let shards = events
-                .iter()
-                .filter(|e| matches!(e.event, CampaignEvent::ShardCompleted(_)))
-                .count();
-            let k = kill % (shards + 1);
-            let journal = JournalSnapshot::from_events(cut_after_shards(&events, k))
-                .expect("journal");
-            let resumed = resume_campaign_from_journal(
-                ferrum_faultsim::Engine::Interpreter(&cpu),
-                &profile,
-                cfg,
-                &journal,
-            )
-            .expect("resumes");
-            prop_assert_eq!(resumed, full);
-        }
+/// Any seed, any kill point: resume is byte-identical.  24 `(seed,
+/// kill point)` cases drawn from a fixed `ferrum-rng` stream.
+#[test]
+fn resume_is_identical_for_any_seed_and_kill_point() {
+    let _g = lock();
+    let (prog, cpu, profile) = load("bfs", Technique::Ferrum);
+    let mut cases = Rng64::seed_from_u64(0x5EED_F11E);
+    for _ in 0..24 {
+        let seed = cases.next_u64();
+        let kill = cases.gen_range(0..32usize);
+        let cfg = CampaignConfig { samples: 64, seed };
+        let (full, events) = record(&prog, &cpu, FlightPolicy::default(), || {
+            run_campaign_on(Engine::Interpreter(&cpu), &profile, cfg)
+        });
+        let shards = events
+            .iter()
+            .filter(|e| matches!(e.event, CampaignEvent::ShardCompleted(_)))
+            .count();
+        let k = kill % (shards + 1);
+        let journal = JournalSnapshot::from_events(cut_after_shards(&events, k)).expect("journal");
+        let resumed =
+            resume_campaign_from_journal(Engine::Interpreter(&cpu), &profile, cfg, &journal)
+                .expect("resumes");
+        assert_eq!(resumed, full, "seed {seed:#x}, kill point {kill}");
     }
 }

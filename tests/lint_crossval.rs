@@ -17,8 +17,9 @@ use ferrum_asm::program::AsmProgram;
 use ferrum_cpu::run::Cpu;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
-use ferrum_faultsim::campaign::exhaustive_campaign;
+use ferrum_faultsim::campaign::exhaustive_campaign_on;
 use ferrum_faultsim::crossval::{apply_mutation, count_mutation_sites, MutationKind};
+use ferrum_faultsim::Engine;
 use ferrum_workloads::catalog::{all_workloads, Scale};
 
 fn ferrum_protect(m: &ferrum_mir::module::Module) -> AsmProgram {
@@ -231,7 +232,7 @@ fn sdc_count(asm: &AsmProgram) -> Option<usize> {
     if profile.result.stop != ferrum_cpu::outcome::StopReason::MainReturned {
         return None;
     }
-    let res = exhaustive_campaign(&cpu, &profile, 4);
+    let res = exhaustive_campaign_on(Engine::Interpreter(&cpu), &profile, 4);
     Some(res.sdc)
 }
 

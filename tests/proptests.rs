@@ -19,7 +19,8 @@ use ferrum_asm::inst::{AluOp, Inst, ShiftAmount, ShiftOp, UnaryOp};
 use ferrum_asm::operand::{MemRef, Operand, Scale as MScale};
 use ferrum_asm::reg::{Gpr, Reg, Width, Xmm, Ymm, ALL_GPRS};
 use ferrum_cpu::fault::FaultSpec;
-use ferrum_faultsim::campaign::{classify, run_campaign, run_campaign_pruned, Outcome};
+use ferrum_faultsim::campaign::{classify, run_campaign, run_campaign_pruned_on, Outcome};
+use ferrum_faultsim::Engine;
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::inst::{BinOp, ICmpPred};
 use ferrum_mir::interp::Interp;
@@ -461,7 +462,7 @@ proptest! {
         let profile = cpu.profile();
         let cfg = CampaignConfig { samples: 64, seed };
         let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+        let pruned = run_campaign_pruned_on(Engine::Interpreter(&cpu), &profile, cfg, &map);
         prop_assert_eq!(serial, pruned);
     }
 

@@ -10,7 +10,8 @@ use ferrum_asm::reg::{Gpr, Reg, Width};
 use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::run::Cpu;
 use ferrum_eddi::ferrum::Ferrum;
-use ferrum_faultsim::campaign::exhaustive_campaign;
+use ferrum_faultsim::campaign::exhaustive_campaign_on;
+use ferrum_faultsim::Engine;
 
 /// Builds a program whose blocks collectively touch every non-frame
 /// register, but where each block leaves a few unused — requisitionable
@@ -111,7 +112,7 @@ fn natural_requisition_keeps_full_coverage_exhaustively() {
     let prot = Ferrum::new().protect(&p).expect("protects");
     let cpu = Cpu::load(&prot).unwrap();
     let profile = cpu.profile();
-    let res = exhaustive_campaign(&cpu, &profile, 6);
+    let res = exhaustive_campaign_on(Engine::Interpreter(&cpu), &profile, 6);
     assert_eq!(res.sdc, 0, "{res:?}");
     assert!(res.detected > 0);
 }

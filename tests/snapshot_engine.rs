@@ -12,8 +12,8 @@ use ferrum::{
 use ferrum_cpu::run::Cpu;
 use ferrum_cpu::Profile;
 use ferrum_faultsim::campaign::{
-    run_campaign, run_campaign_on, run_campaign_parallel_on,
-    run_campaign_snapshot, run_campaign_snapshot_on,
+    exhaustive_campaign_on, run_campaign, run_campaign_on, run_campaign_parallel_on,
+    run_campaign_snapshot_on, run_double_campaign_on,
 };
 use ferrum_workloads::{all_workloads, workload, Scale};
 
@@ -44,7 +44,8 @@ fn assert_identical(a: &CampaignResult, b: &CampaignResult, what: &str) {
 fn all_engines_agree_across_workloads_and_profiles() {
     // The full determinism matrix: 2 workloads × 2 protection profiles
     // × {1, 4} threads × {stealing, snapshot} executors × {interpreter,
-    // decoded} engines, all against the serial interpreter reference.
+    // decoded} engines, all against the serial interpreter reference,
+    // plus double-fault and exhaustive campaigns across engines.
     // The engine AND the executor are implementation details.
     for name in ["knn", "pathfinder"] {
         for technique in [Technique::None, Technique::Ferrum] {
@@ -81,6 +82,24 @@ fn all_engines_agree_across_workloads_and_profiles() {
                     assert_identical(&serial, &snap, &format!("{what} snap×{threads}/{kind}"));
                 }
             }
+
+            // Double-fault pairs and the exhaustive sweep: the same plan
+            // on both engines.  The sweep injects into every listed
+            // site, so it runs over a sparse site list.
+            let mut sparse = profile.clone();
+            sparse.sites = profile.sites.iter().step_by(199).copied().collect();
+            let interp = Engine::Interpreter(&cpu);
+            let dec = Engine::Decoded(&decoded);
+            assert_identical(
+                &run_double_campaign_on(dec, &profile, cfg),
+                &run_double_campaign_on(interp, &profile, cfg),
+                &format!("{what} double/decoded"),
+            );
+            assert_identical(
+                &exhaustive_campaign_on(dec, &sparse, 2),
+                &exhaustive_campaign_on(interp, &sparse, 2),
+                &format!("{what} exhaustive/decoded"),
+            );
         }
     }
 }
@@ -170,7 +189,7 @@ fn snapshot_policy_never_changes_outcomes() {
             min_interval: 1,
         },
     ] {
-        let snap = run_campaign_snapshot(&cpu, &profile, cfg, 3, policy);
+        let snap = run_campaign_snapshot_on(Engine::Interpreter(&cpu), &profile, cfg, 3, policy);
         assert_identical(&serial, &snap, &format!("{policy:?}"));
     }
 }
@@ -178,8 +197,8 @@ fn snapshot_policy_never_changes_outcomes() {
 #[test]
 fn same_seed_same_result_different_seed_different_samples() {
     let (cpu, profile) = load("knn", Technique::None);
-    let a = run_campaign_snapshot(
-        &cpu,
+    let a = run_campaign_snapshot_on(
+        Engine::Interpreter(&cpu),
         &profile,
         CampaignConfig {
             samples: 250,
@@ -188,8 +207,8 @@ fn same_seed_same_result_different_seed_different_samples() {
         2,
         SnapshotPolicy::default(),
     );
-    let b = run_campaign_snapshot(
-        &cpu,
+    let b = run_campaign_snapshot_on(
+        Engine::Interpreter(&cpu),
         &profile,
         CampaignConfig {
             samples: 250,
@@ -198,8 +217,8 @@ fn same_seed_same_result_different_seed_different_samples() {
         4,
         SnapshotPolicy::default(),
     );
-    let c = run_campaign_snapshot(
-        &cpu,
+    let c = run_campaign_snapshot_on(
+        Engine::Interpreter(&cpu),
         &profile,
         CampaignConfig {
             samples: 250,
@@ -218,8 +237,8 @@ fn same_seed_same_result_different_seed_different_samples() {
 #[test]
 fn throughput_counters_are_populated() {
     let (cpu, profile) = load("pathfinder", Technique::None);
-    let r = run_campaign_snapshot(
-        &cpu,
+    let r = run_campaign_snapshot_on(
+        Engine::Interpreter(&cpu),
         &profile,
         CampaignConfig {
             samples: 400,

@@ -5,7 +5,8 @@
 use ferrum_cpu::run::Cpu;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
-use ferrum_faultsim::campaign::exhaustive_campaign;
+use ferrum_faultsim::campaign::exhaustive_campaign_on;
+use ferrum_faultsim::Engine;
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::inst::ICmpPred;
 use ferrum_mir::module::{Global, Module};
@@ -70,7 +71,7 @@ fn assert_no_sdc(asm: &ferrum_asm::program::AsmProgram, what: &str) {
         ferrum_cpu::outcome::StopReason::MainReturned,
         "{what}: fault-free run must complete"
     );
-    let res = exhaustive_campaign(&cpu, &profile, 4);
+    let res = exhaustive_campaign_on(Engine::Interpreter(&cpu), &profile, 4);
     assert_eq!(
         res.sdc,
         0,
@@ -150,6 +151,6 @@ fn unprotected_program_is_vulnerable() {
     let asm = ferrum_backend::compile(&m).unwrap();
     let cpu = Cpu::load(&asm).unwrap();
     let profile = cpu.profile();
-    let res = exhaustive_campaign(&cpu, &profile, 4);
+    let res = exhaustive_campaign_on(Engine::Interpreter(&cpu), &profile, 4);
     assert!(res.sdc > 0, "raw program should show SDCs");
 }

@@ -9,11 +9,13 @@
 
 use ferrum::json::{Json, ToJson};
 use ferrum::{
-    CampaignConfig, CampaignResult, CoverageMap, EngineKind, ForensicConfig, Pipeline,
+    resume_campaign_from_journal, CampaignConfig, CampaignFingerprint, CampaignResult, CoverageMap,
+    EngineKind, ForensicConfig, JournalSnapshot, OutcomeTallies, Pipeline, ShardRecord,
     SnapshotPolicy, Technique,
 };
 use ferrum_faultsim::campaign::{
-    run_campaign_on, run_campaign_parallel_on, run_campaign_pruned_on, run_campaign_snapshot_on,
+    exhaustive_campaign_on, run_campaign_on, run_campaign_parallel_on, run_campaign_pruned_on,
+    run_campaign_snapshot_on, run_double_campaign_on,
 };
 use ferrum_faultsim::compose::{run_campaign_incremental_on, run_campaign_stratified_on};
 use ferrum_faultsim::forensics::run_campaign_forensic_on;
@@ -102,6 +104,10 @@ fn every_executor_emits_the_same_stats_shape_on_both_engines() {
     let coverage = CoverageMap::analyze(&prog);
     let cpu = pipeline.load(&prog).expect("loads");
     let profile = cpu.profile();
+    // The exhaustive sweep injects into every listed site; a sparse
+    // site list keeps it small.
+    let mut sparse = profile.clone();
+    sparse.sites = profile.sites.iter().step_by(257).copied().collect();
     let cfg = CampaignConfig {
         samples: 80,
         seed: 0xFE44,
@@ -143,6 +149,59 @@ fn every_executor_emits_the_same_stats_shape_on_both_engines() {
             run_campaign_forensic_on(e, &profile, cfg, &ForensicConfig::default())
         });
         check_shape("forensic", engine, &forensic);
+
+        let double = engine.with_cpu(&cpu, |e| run_double_campaign_on(e, &profile, cfg));
+        check_shape("double", engine, &double);
+
+        let exhaustive = engine.with_cpu(&cpu, |e| exhaustive_campaign_on(e, &sparse, 1));
+        check_shape("exhaustive", engine, &exhaustive);
+
+        let journal = first_shard_journal(&serial, &profile, cfg);
+        let resumed = engine
+            .with_cpu(&cpu, |e| {
+                resume_campaign_from_journal(e, &profile, cfg, &journal)
+            })
+            .expect("resumes");
+        check_shape("resume", engine, &resumed);
+        assert!(resumed.stats.reused_sites > 0, "resume replayed nothing");
+    }
+}
+
+/// A journal holding the first shard of `serial`, built by hand: the
+/// flight recorder is process-global, and this file's tests run
+/// concurrently.
+fn first_shard_journal(
+    serial: &CampaignResult,
+    profile: &ferrum_cpu::run::Profile,
+    cfg: CampaignConfig,
+) -> JournalSnapshot {
+    let len = cfg.samples / 4;
+    let records = serial.records[..len].to_vec();
+    let mut tallies = OutcomeTallies::default();
+    for &(_, o) in &records {
+        tallies.add(o);
+    }
+    JournalSnapshot {
+        fingerprint: CampaignFingerprint {
+            executor: "serial".to_owned(),
+            samples: cfg.samples,
+            seed: cfg.seed,
+            sites: profile.sites.len(),
+            golden_dyn_insts: profile.result.dyn_insts,
+            ..CampaignFingerprint::default()
+        },
+        total: cfg.samples,
+        shard_size: len,
+        shards: vec![ShardRecord {
+            shard: 0,
+            start: 0,
+            len,
+            seed: cfg.seed,
+            program_hash: 0,
+            tallies,
+            records,
+        }],
+        finished: false,
     }
 }
 

@@ -10,7 +10,8 @@ use std::sync::{Arc, Mutex};
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
 use ferrum::{CampaignConfig, Pipeline, SnapshotPolicy, Technique};
-use ferrum_faultsim::campaign::{run_campaign, run_campaign_snapshot, CampaignResult};
+use ferrum_faultsim::campaign::{run_campaign, run_campaign_snapshot_on, CampaignResult};
+use ferrum_faultsim::Engine;
 use ferrum_trace::{NullSink, RingSink};
 use ferrum_workloads::{workload, Scale};
 
@@ -29,7 +30,13 @@ fn campaigns_are_identical_with_and_without_trace_sinks() {
     let run_both = || -> (CampaignResult, CampaignResult) {
         (
             run_campaign(&cpu, &profile, cfg),
-            run_campaign_snapshot(&cpu, &profile, cfg, 4, SnapshotPolicy::default()),
+            run_campaign_snapshot_on(
+                Engine::Interpreter(&cpu),
+                &profile,
+                cfg,
+                4,
+                SnapshotPolicy::default(),
+            ),
         )
     };
 
