@@ -1,6 +1,6 @@
 //! The `results/bench.json` artifact and its regression gate.
 //!
-//! `repro_speedup --json-out` serializes all six of its tables into one
+//! `ferrum-repro speedup --json-out` serializes all six of its tables into one
 //! schema-stable JSON document; `scripts/bench_check.sh` re-runs the
 //! same configuration and feeds both documents to [`compare`], which
 //! enforces a per-metric policy:
@@ -19,7 +19,7 @@
 //!   test scale, where campaigns last microseconds and a single
 //!   scheduler event swings an overhead cell by tens of points — the
 //!   observability budget is enforced by the paper-scale sixth
-//!   `repro_speedup` table instead), so only their presence and
+//!   `ferrum-repro speedup` table instead), so only their presence and
 //!   finiteness are checked.
 //!
 //! The policy keys off metric *names*, so adding a table or column to
@@ -51,7 +51,7 @@ fn policy(key: &str) -> Policy {
         // ratios, work-stealing balance, and recorder overhead.  At
         // test scale a campaign lasts microseconds, so an overhead
         // percentage rests on a single scheduler's mood; the paper-
-        // scale sixth `repro_speedup` table enforces the <2% budget.
+        // scale sixth `ferrum-repro speedup` table enforces the <2% budget.
         "speedup_threads" | "speedup_wall" | "balance" => Policy::Informational,
         "overhead_pct" | "geomean_overhead_pct" => Policy::Informational,
         k if k.ends_with("_ips") || k.ends_with("_ms") => Policy::Informational,
@@ -160,7 +160,7 @@ fn compare_tree(path: &str, base: &Json, cur: &Json, loosen: f64, out: &mut Vec<
     }
 }
 
-/// Compares a fresh `repro_speedup` artifact against the committed
+/// Compares a fresh `ferrum-repro speedup` artifact against the committed
 /// baseline.  Returns the list of violations (empty = gate passes).
 /// `quick` doubles the tolerant bands — quick runs use fewer timing
 /// repetitions, so ratio metrics carry more noise; exact metrics are

@@ -1,86 +1,15 @@
 //! # ferrum-bench — regenerating the paper's tables and figures
 //!
-//! One binary per artifact of the evaluation section:
-//!
-//! | Binary            | Artifact |
-//! |-------------------|----------|
-//! | `repro_fig10`     | Fig. 10 — SDC coverage per benchmark × technique |
-//! | `repro_fig11`     | Fig. 11 — runtime performance overhead |
-//! | `repro_table1`    | Table I — technique capability matrix |
-//! | `repro_table2`    | Table II — benchmark details |
-//! | `repro_exectime`  | §IV-B3 — FERRUM pass execution time vs static size |
-//! | `repro_rootcause` | §IV-B1 — provenance attribution of IR-EDDI's SDCs |
-//! | `repro_ablation`  | design-choice ablations (SIMD / deferred flags / peephole / requisition) |
-//!
-//! | `repro_speedup`   | snapshot campaign engine vs serial executor throughput |
-//!
-//! Each prints an aligned text table; `--samples N`, `--seed S`, and
-//! `--scale test|paper` tune campaign size where applicable.
+//! The `ferrum-repro` binary runs one experiment of the evaluation
+//! section per invocation ([`repro`]); `ferrum-repro --help` lists
+//! them, and `ferrum-repro all` rewrites every committed
+//! `results/*.txt` file.  `bench_check` gates a fresh `bench.json`
+//! against the committed baseline ([`benchjson`]).
 //! The benches (`cargo bench`) measure the infrastructure itself —
 //! pass throughput, simulator speed, and checker costs — using the
 //! self-contained [`harness`] module (hermetic-build policy: no
 //! external benchmarking framework).
 
-use ferrum::{EvalConfig, Scale};
-
 pub mod benchjson;
 pub mod harness;
-
-/// Parses the common `--samples`, `--seed`, `--scale`, `--opt` flags.
-pub fn parse_eval_config(args: &[String]) -> EvalConfig {
-    let mut cfg = EvalConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--samples" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.samples = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.seed = v;
-                }
-            }
-            "--scale" => {
-                if let Some(v) = it.next() {
-                    cfg.scale = match v.as_str() {
-                        "test" => Scale::Test,
-                        _ => Scale::Paper,
-                    };
-                }
-            }
-            "--opt" => {
-                if let Some(v) = it.next().and_then(|s| ferrum::OptLevel::parse(s)) {
-                    cfg.opt = v;
-                }
-            }
-            _ => {}
-        }
-    }
-    cfg
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flag_parsing() {
-        let args: Vec<String> = ["--samples", "250", "--seed", "7", "--scale", "test"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let cfg = parse_eval_config(&args);
-        assert_eq!(cfg.samples, 250);
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.scale, Scale::Test);
-        assert_eq!(cfg.opt, ferrum::OptLevel::O0);
-        let cfg = parse_eval_config(&[]);
-        assert_eq!(cfg.samples, 1000);
-        assert_eq!(cfg.scale, Scale::Paper);
-
-        let args: Vec<String> = ["--opt", "1"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_eval_config(&args).opt, ferrum::OptLevel::O1);
-    }
-}
+pub mod repro;

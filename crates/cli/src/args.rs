@@ -105,30 +105,34 @@ impl ParsedArgs {
         self.values.get(name).map(String::as_str)
     }
 
-    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
+    /// A numeric (any [`FromStr`](std::str::FromStr)) option,
+    /// defaulting to `default`.
+    pub fn number<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
         match self.value(name) {
-            None => Ok(None),
+            None => Ok(default),
             Some(raw) => raw
                 .parse()
-                .map(Some)
                 .map_err(|_| ArgError::Message(format!("`{name}` cannot parse `{raw}`"))),
         }
     }
 
     /// `--samples`, defaulting to the campaign-size `default`.
     pub fn samples(&self, default: usize) -> Result<usize, ArgError> {
-        Ok(self.parsed("--samples")?.unwrap_or(default))
+        self.number("--samples", default)
     }
 
     /// `--seed`, defaulting to `default`.
     pub fn seed(&self, default: u64) -> Result<u64, ArgError> {
-        Ok(self.parsed("--seed")?.unwrap_or(default))
+        self.number("--seed", default)
     }
 
-    /// `--scale test|paper`, defaulting to [`Scale::Test`].
-    pub fn scale(&self) -> Result<Scale, ArgError> {
+    /// `--scale test|paper`, defaulting to `default` (the `ferrum-*`
+    /// tools default to [`Scale::Test`], the paper experiments to
+    /// [`Scale::Paper`]).
+    pub fn scale(&self, default: Scale) -> Result<Scale, ArgError> {
         match self.value("--scale") {
-            None | Some("test") => Ok(Scale::Test),
+            None => Ok(default),
+            Some("test") => Ok(Scale::Test),
             Some("paper") => Ok(Scale::Paper),
             Some(other) => Err(ArgError::Message(format!(
                 "unknown scale `{other}` (test | paper)"
@@ -372,7 +376,8 @@ mod tests {
         assert!(!p.flag("--catalog"));
         assert_eq!(p.samples(400).unwrap(), 250);
         assert_eq!(p.seed(0xFE44).unwrap(), 9);
-        assert_eq!(p.scale().unwrap(), Scale::Test);
+        assert_eq!(p.scale(Scale::Test).unwrap(), Scale::Test);
+        assert_eq!(p.scale(Scale::Paper).unwrap(), Scale::Paper);
     }
 
     #[test]
@@ -395,7 +400,7 @@ mod tests {
             &SPEC,
         )
         .expect("parses");
-        assert_eq!(p.scale().unwrap(), Scale::Paper);
+        assert_eq!(p.scale(Scale::Test).unwrap(), Scale::Paper);
         assert_eq!(
             p.technique_core(Technique::Ferrum).unwrap(),
             Technique::HybridAsmEddi

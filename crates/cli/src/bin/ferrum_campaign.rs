@@ -578,17 +578,12 @@ fn main() -> ExitCode {
                 ))
             })?,
         };
-        let threads = match p.value("--threads") {
-            None => 4,
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| ArgError::Message(format!("`--threads` cannot parse `{raw}`")))?,
-        };
+        let threads = p.number("--threads", 4)?;
         let opts = Options {
             technique: p.technique_core(Technique::Ferrum)?,
             samples: p.samples(400)?,
             seed: p.seed(0xFE44)?,
-            scale: p.scale()?,
+            scale: p.scale(Scale::Test)?,
             opt: p.opt_level()?,
             engine: p.engine()?,
             executor,

@@ -267,7 +267,7 @@ fn main() -> ExitCode {
             technique: p.technique_core(Technique::Ferrum)?,
             samples: p.samples(400)?,
             seed: p.seed(0xFE44)?,
-            scale: p.scale()?,
+            scale: p.scale(Scale::Test)?,
             opt: p.opt_level()?,
             json: p.flag("--json"),
         };

@@ -207,7 +207,7 @@ fn main() -> ExitCode {
     let opts = match parsed.technique_core(Technique::Ferrum).and_then(|t| {
         Ok((
             t,
-            parsed.scale()?,
+            parsed.scale(Scale::Test)?,
             parsed.engine()?,
             parsed.opt_level()?.unwrap_or_default(),
         ))

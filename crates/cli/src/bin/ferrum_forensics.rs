@@ -149,23 +149,13 @@ fn parse_outcomes(p: &ParsedArgs) -> Result<Vec<Outcome>, ArgError> {
 
 fn options(p: &ParsedArgs) -> Result<Options, ArgError> {
     let defaults = ForensicConfig::default();
-    let records = match p.value("--records") {
-        None => defaults.max_records,
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| ArgError::Message(format!("`--records` cannot parse `{raw}`")))?,
-    };
-    let show = match p.value("--show") {
-        None => 3,
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| ArgError::Message(format!("`--show` cannot parse `{raw}`")))?,
-    };
+    let records = p.number("--records", defaults.max_records)?;
+    let show = p.number("--show", 3)?;
     Ok(Options {
         technique: p.technique_core(Technique::Ferrum)?,
         samples: p.samples(400)?,
         seed: p.seed(0xFE44)?,
-        scale: p.scale()?,
+        scale: p.scale(Scale::Test)?,
         opt: p.opt_level()?,
         fcfg: ForensicConfig {
             outcomes: parse_outcomes(p)?,

@@ -24,7 +24,7 @@
 use std::process::ExitCode;
 
 use ferrum::json::{Json, ToJson};
-use ferrum_cli::args::{parse_args, usage_exit, ArgError, ArgHelp, ArgSpec, UsageSpec};
+use ferrum_cli::args::{parse_args, usage_exit, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_fuzz::{run_fuzz, FuzzConfig};
 
 const USAGE: UsageSpec = UsageSpec {
@@ -59,22 +59,13 @@ const USAGE: UsageSpec = UsageSpec {
     },
 };
 
-fn parse_u64(p: &ferrum_cli::args::ParsedArgs, name: &str, default: u64) -> Result<u64, ArgError> {
-    match p.value(name) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| ArgError::Message(format!("`{name}` cannot parse `{raw}`"))),
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cfg, json) = match parse_args(&args, &USAGE.spec).and_then(|p| {
         let cfg = FuzzConfig {
-            programs: parse_u64(&p, "--programs", 200)?,
-            base_seed: parse_u64(&p, "--seed", 42)?,
-            campaign_samples: parse_u64(&p, "--samples", 25)? as usize,
+            programs: p.number("--programs", 200)?,
+            base_seed: p.seed(42)?,
+            campaign_samples: p.samples(25)?,
         };
         Ok((cfg, p.flag("--json")))
     }) {

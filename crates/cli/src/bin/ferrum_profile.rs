@@ -226,15 +226,10 @@ fn catalog_check(
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (parsed, opts) = match parse_args(&args, &USAGE.spec).and_then(|p| {
-        let top = match p.value("--top") {
-            None => 10,
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| ArgError::Message(format!("invalid --top value `{raw}`")))?,
-        };
+        let top = p.number("--top", 10)?;
         let opts = Options {
             technique: p.technique_core(Technique::Ferrum)?,
-            scale: p.scale()?,
+            scale: p.scale(Scale::Test)?,
             opt: p.opt_level()?,
             top,
             diff: p.flag("--diff"),

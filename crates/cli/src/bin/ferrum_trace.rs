@@ -261,7 +261,7 @@ fn main() -> ExitCode {
         let opts = Options {
             samples: p.samples(400)?,
             seed: p.seed(0xFE44)?,
-            scale: p.scale()?,
+            scale: p.scale(Scale::Test)?,
             opt: p.opt_level()?,
             engine: p.engine()?,
             json: p.flag("--json"),

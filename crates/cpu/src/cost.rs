@@ -63,7 +63,7 @@ pub struct CostModel {
     /// slots, and checker branches are never taken and perfectly
     /// predicted.  The default of 50% models this instruction-level
     /// parallelism; set to 100 for a strictly serial machine (the
-    /// `repro_ablation` harness sweeps it).
+    /// `ferrum-repro ablation` experiment sweeps it).
     pub protection_percent: u64,
 }
 

@@ -186,7 +186,7 @@ impl Cpu {
     /// Runs the program injecting every fault in `faults` (each at its
     /// own dynamic index).  The paper's evaluation uses a single fault
     /// per run (§II-A); multi-fault campaigns are the paper's stated
-    /// future work, reproduced by `repro_multibit`.
+    /// future work, reproduced by `ferrum-repro multibit`.
     pub fn run_multi(&self, faults: &[FaultSpec]) -> RunResult {
         crate::snapshot::Machine::new(self).run_to_completion(faults)
     }

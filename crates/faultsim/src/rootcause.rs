@@ -113,7 +113,7 @@ pub fn breakdown_by_kind(profile: &Profile, result: &CampaignResult) -> KindBrea
     out
 }
 
-/// Renders the report as aligned text for the `repro_rootcause` harness.
+/// Renders the report as aligned text (the `coverage_gap` example prints it).
 pub fn render(report: &RootCauseReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("{:<24}{:>8}\n", "fault provenance", "SDCs"));

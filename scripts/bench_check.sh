@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Regression gate for the committed bench.json baseline.
 #
-# Re-runs `repro_speedup` with the exact configuration recorded in
+# Re-runs `ferrum-repro speedup` with the exact configuration recorded in
 # results/bench.json (test scale, fixed seed and samples, so every
 # deterministic metric must reproduce bit-for-bit), then compares the
 # fresh artifact against the baseline with `bench_check`'s per-metric
@@ -15,7 +15,7 @@
 #                                    (the tier-1 configuration)
 #
 # Regenerating the baseline after an intentional performance change:
-#   cargo run --release -p ferrum-bench --bin repro_speedup -- \
+#   cargo run --release -p ferrum-bench --bin ferrum-repro -- speedup \
 #     --scale test --samples 200 --seed 65092 --threads 4 --reps 2 \
 #     --json-out results/bench.json
 set -eu
@@ -35,7 +35,7 @@ fi
 CURRENT=$(mktemp /tmp/bench.XXXXXX.json)
 trap 'rm -f "$CURRENT"' EXIT
 
-cargo run --release --offline -q -p ferrum-bench --bin repro_speedup -- \
+cargo run --release --offline -q -p ferrum-bench --bin ferrum-repro -- speedup \
     --scale test --samples 200 --seed 65092 --threads 4 --reps "$REPS" \
     --json-out "$CURRENT" > /dev/null 2>&1
 
